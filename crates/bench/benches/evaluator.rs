@@ -67,11 +67,14 @@ fn bench_batch_candidates(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    let task_moves: Vec<_> = moves.iter().map(|&(pos, m)| (t, pos, m)).collect();
     for threads in [1usize, 2, 4, 8] {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
         let mut batch = BatchEvaluator::new(&snapshot);
         group.bench_function(BenchmarkId::new(format!("threads-{threads}"), moves.len()), |b| {
-            pool.install(|| b.iter(|| black_box(batch.score_moves(g, &base, t, &moves, &obj))))
+            pool.install(|| {
+                b.iter(|| black_box(batch.score_task_moves(g, &base, &task_moves, &obj)))
+            })
         });
     }
     group.finish();
@@ -170,7 +173,7 @@ fn bench_bounded_moves(c: &mut Criterion) {
 
 /// Short bounded scans — the post-pruning production shape where
 /// executor overhead used to dominate: a 24-candidate grid driven
-/// through `best_move` on the resident pool (`pool-N`) versus the
+/// through `best_task_move` on the resident pool (`pool-N`) versus the
 /// retired per-call `std::thread::scope` crew (`spawn-N`, preserved in
 /// `probes::spawn_crew_chunks` with the old re-prime-per-chunk arena
 /// checkout). Identical argmin out of both; the gap is pure submit
@@ -187,11 +190,14 @@ fn bench_short_scan(c: &mut Criterion) {
     let snapshot = EvalSnapshot::new(&inst);
 
     let mut group = c.benchmark_group("short_scan");
+    let task_moves: Vec<_> = moves.iter().map(|&(pos, m)| (t, pos, m)).collect();
     for threads in [1usize, 4] {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
         let mut batch = BatchEvaluator::new(&snapshot);
         group.bench_function(BenchmarkId::new(format!("pool-{threads}"), moves.len()), |b| {
-            pool.install(|| b.iter(|| black_box(batch.best_move(g, &base, t, &moves, &obj))))
+            pool.install(|| {
+                b.iter(|| black_box(batch.best_task_move(g, &base, &task_moves, None, 0.0, &obj)))
+            })
         });
     }
     for threads in [1usize, 4] {

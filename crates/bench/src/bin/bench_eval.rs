@@ -29,11 +29,9 @@
 //! [`mshc_bench::probes::spawn_crew_chunks`]) on the **short bounded
 //! scan** preset, where spawn latency used to dominate the scoring work.
 //!
-//! Since the GA moved onto tier 3, a **GA generation probe** races the
-//! whole scheduler on the same preset with offspring fitness via
-//! parent-primed prefix splicing (the default) against the
-//! `--ga-full-eval` tier-1 escape hatch — same seed, identical bits
-//! out, so `ga_prefix_speedup_vs_full` is pure evaluation-cost savings.
+//! A **GA generation probe** runs the whole GA scheduler on the same
+//! preset and reports its evaluation throughput and the fraction of
+//! offspring that reused a parent's cost (clone children).
 //! The `spliced_fraction` series is measured on its own
 //! reconvergence-friendly grid ([`mshc_bench::probes::splice_move_grid`]);
 //! the widest single-task grid prunes too early to ever reconverge.
@@ -56,7 +54,7 @@ use mshc_schedule::{
 };
 use mshc_taskgraph::TaskGraphBuilder;
 use mshc_workloads::{tiny_suite, DisturbanceTrace, DisturbanceTraceSpec, WorkloadSpec};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::hint::black_box;
@@ -150,30 +148,13 @@ struct BenchReport {
     /// injected fraction; more means real panics, fewer means faults
     /// stopped firing).
     degraded_cell_fraction: f64,
-    /// GA offspring-fitness throughput with parent-primed prefix
-    /// splicing on (the production configuration): evaluations per
-    /// second across whole generations on the paper-scale preset.
+    /// GA offspring-fitness throughput: evaluations per second across
+    /// whole generations on the paper-scale preset.
     ga_generation_evals_per_sec: f64,
     /// Fraction of offspring string positions the GA's population pass
-    /// never replayed — clone shortcuts contribute whole strings,
-    /// primed checkpoints contribute shared prefixes.
+    /// never evaluated: clone children reuse their parent's cost, so
+    /// this is the clone fraction of the offspring.
     ga_prefix_reuse_fraction: f64,
-    /// The prefix-splicing mechanism on its canonical shape (like
-    /// `incremental_speedup_vs_full` and
-    /// `bounded_speedup_vs_incremental` above): a converged-regime
-    /// offspring cohort (`probes::ga_offspring_cohort` — crossover of
-    /// near-identical parents degenerates to clones, mutations to
-    /// single-task moves) scored by `score_population` vs per-child
-    /// full passes, bit-identical either way (≥ 2x expected on the
-    /// 100-task preset).
-    ga_prefix_speedup_vs_full: f64,
-    /// Whole-run GA wall-clock ratio, `--ga-full-eval` over default,
-    /// same seed, from a *random* start — early generations are
-    /// dominated by deep-divergence crossover offspring (the matching
-    /// crossover redistributes machine genes by task id, which can
-    /// surface at any string position), so this realizes far less than
-    /// the cohort number above.
-    ga_run_speedup_vs_full: f64,
     /// Work-stealing pool: chunks claimed from a foreign worker's queue
     /// over the GA probe window (timing plane of the obs registry —
     /// varies run to run, archived as an executor-health series).
@@ -255,15 +236,16 @@ fn main() {
         evals as f64 / start.elapsed().as_secs_f64()
     };
 
+    let task_moves: Vec<_> = moves.iter().map(|&(pos, m)| (t, pos, m)).collect();
     let batch_eps = |n: usize| {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(n).build().expect("pool");
         pool.install(|| {
             let mut batch = BatchEvaluator::new(&snapshot);
             // Warm the arenas once so steady-state throughput is measured.
-            black_box(batch.score_moves(g, &base, t, &moves, &obj));
+            black_box(batch.score_task_moves(g, &base, &task_moves, &obj));
             let start = Instant::now();
             for _ in 0..rounds {
-                black_box(batch.score_moves(g, &base, t, &moves, &obj));
+                black_box(batch.score_task_moves(g, &base, &task_moves, &obj));
             }
             (rounds * moves.len()) as f64 / start.elapsed().as_secs_f64()
         })
@@ -369,14 +351,17 @@ fn main() {
     let (t_short, short_moves) = mshc_bench::probes::short_move_grid(&inst, &base, 24);
     let short_reps = rounds * 40;
     let short_pool_eps = {
+        let short_task_moves: Vec<_> =
+            short_moves.iter().map(|&(pos, m)| (t_short, pos, m)).collect();
         let pool = rayon::ThreadPoolBuilder::new().num_threads(crew).build().expect("pool");
         pool.install(|| {
             let mut batch = BatchEvaluator::new(&snapshot);
+            let mut scan = || batch.best_task_move(g, &base, &short_task_moves, None, 0.0, &obj);
             // Warm-up spawns the resident workers and fills the arenas.
-            black_box(batch.best_move(g, &base, t_short, &short_moves, &obj));
+            black_box(scan());
             let start = Instant::now();
             for _ in 0..short_reps {
-                black_box(batch.best_move(g, &base, t_short, &short_moves, &obj));
+                black_box(scan());
             }
             (short_reps * short_moves.len()) as f64 / start.elapsed().as_secs_f64()
         })
@@ -542,104 +527,39 @@ fn main() {
         board.degraded as f64 / board.cells as f64
     };
 
-    // GA generation probe: the whole scheduler raced end to end on the
-    // paper-scale preset, same seed, offspring fitness via
-    // parent-primed prefix splicing (the default tier-3 path) vs the
-    // --ga-full-eval tier-1 escape hatch. The runs are bit-identical —
-    // asserted below — so the ratio is pure evaluation-cost savings.
-    let (ga_eps, ga_reuse, ga_run_speedup, ga_best) = {
+    // GA generation probe: the whole scheduler run end to end on the
+    // paper-scale preset. Its prefix-reuse fraction comes from the obs
+    // registry, reset so its window covers only these repetitions (the
+    // ratio is then a single run's, up to one f64 rounding).
+    let (ga_eps, ga_reuse) = {
         let gens = if rounds <= 6 { 15 } else { 60 };
         let reps = (rounds / 3).max(2);
         let budget = RunBudget::iterations(gens);
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
         pool.install(|| {
-            let timed = |b: &RunBudget| {
-                // Warm-up run spawns the pool workers and fills arenas.
-                let mut result = GaScheduler::with_seed(2001).run(&inst, b, None);
-                let start = Instant::now();
-                for _ in 0..reps {
-                    result = GaScheduler::with_seed(2001).run(&inst, b, None);
-                }
-                (start.elapsed().as_secs_f64() / reps as f64, result)
-            };
-            let (t_full, full) = timed(&budget.clone().with_ga_full_eval(true));
-            // Reset so the registry window covers only the spliced-path
-            // repetitions: its prefix-reuse fraction is then the same
-            // ratio as a single run's (identical runs sum to identical
-            // ratios, up to one f64 rounding in the division).
+            // Warm-up run spawns the pool workers and fills arenas.
+            black_box(GaScheduler::with_seed(2001).run(&inst, &budget, None));
             mshc_obs::reset();
-            let (t_spliced, spliced) = timed(&budget);
-            assert_eq!(spliced.solution, full.solution, "splicing must not change the GA's bits");
-            assert_eq!(spliced.objective_value, full.objective_value);
-            assert_eq!(spliced.evaluations, full.evaluations);
-            let ga_det = mshc_obs::snapshot().deterministic;
-            let reuse = ga_det.prefix_reuse_fraction();
+            let start = Instant::now();
+            let mut result = None;
+            for _ in 0..reps {
+                result = Some(GaScheduler::with_seed(2001).run(&inst, &budget, None));
+            }
+            let secs = start.elapsed().as_secs_f64() / reps as f64;
+            let result = result.expect("at least one repetition");
+            let reuse = mshc_obs::snapshot().deterministic.prefix_reuse_fraction();
             assert!(
-                (reuse - spliced.scan.prefix_reuse_fraction()).abs() < 1e-9,
+                (reuse - result.scan.prefix_reuse_fraction()).abs() < 1e-9,
                 "registry-sourced prefix reuse ({reuse}) must match the run's own stats ({})",
-                spliced.scan.prefix_reuse_fraction()
+                result.scan.prefix_reuse_fraction()
             );
-            (spliced.evaluations as f64 / t_spliced, reuse, t_full / t_spliced, spliced.solution)
-        })
-    };
-
-    // GA cohort probe: the prefix-splicing mechanism on its canonical
-    // shape, mirroring how the incremental and bounded series isolate
-    // theirs on the widest-grid scan. Parents are a tight cluster
-    // around the GA's own incumbent (a converged population); offspring
-    // carry the default operator mix at the selection fixpoint, where
-    // crossover degenerates to clones. Scores are asserted bit-equal
-    // between the two paths, so the ratio is pure evaluation cost.
-    let ga_speedup = {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let mut parents = vec![ga_best];
-        for _ in 0..3 {
-            let mut p = parents[0].clone();
-            let t = mshc_taskgraph::TaskId::from_usize(rng.gen_range(0..inst.task_count()));
-            let (lo, hi) = p.valid_range(g, t);
-            p.move_task(g, t, rng.gen_range(lo..=hi), p.machine_of(t)).expect("in-range");
-            parents.push(p);
-        }
-        // Two generations' worth of offspring against one parent
-        // cluster — converged populations move slowly, so consecutive
-        // generations share their parent set and the per-parent prime
-        // amortizes the way it does in a real converged run.
-        let (children, descents) =
-            mshc_bench::probes::ga_offspring_cohort(&inst, &parents, 200, &mut rng);
-        let mut eval = Evaluator::with_snapshot(&snapshot);
-        let parent_costs: Vec<f64> =
-            parents.iter().map(|p| eval.objective_value(p, &obj)).collect();
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-        pool.install(|| {
-            let mut batch = BatchEvaluator::new(&snapshot);
-            let spliced =
-                batch.score_population(&parents, &parent_costs, &children, &descents, &obj);
-            let start = Instant::now();
-            for _ in 0..rounds {
-                black_box(batch.score_population(
-                    &parents,
-                    &parent_costs,
-                    &children,
-                    &descents,
-                    &obj,
-                ));
-            }
-            let t_spliced = start.elapsed().as_secs_f64();
-            let full = batch.scores(&children, &obj);
-            let start = Instant::now();
-            for _ in 0..rounds {
-                black_box(batch.scores(&children, &obj));
-            }
-            let t_full = start.elapsed().as_secs_f64();
-            assert_eq!(spliced, full, "cohort scores must be bit-identical on both paths");
-            t_full / t_spliced
+            (result.evaluations as f64 / secs, reuse)
         })
     };
 
     // Executor-health series: the timing plane accumulated since the GA
-    // probe's reset (GA generations + the cohort probe — the heaviest
-    // pool traffic in the run). Bridged from the pool's own counters at
-    // snapshot time.
+    // probe's reset (GA generations — the heaviest pool traffic in the
+    // run). Bridged from the pool's own counters at snapshot time.
     let obs_timing = mshc_obs::snapshot().timing;
 
     let report = BenchReport {
@@ -673,8 +593,6 @@ fn main() {
         degraded_cell_fraction,
         ga_generation_evals_per_sec: ga_eps,
         ga_prefix_reuse_fraction: ga_reuse,
-        ga_prefix_speedup_vs_full: ga_speedup,
-        ga_run_speedup_vs_full: ga_run_speedup,
         steal_count: obs_timing.steal_count,
         queue_depth_hwm: obs_timing.queue_depth_hwm,
     };
@@ -700,14 +618,7 @@ fn main() {
         100.0 * report.pruned_fraction,
         100.0 * report.spliced_fraction
     );
-    println!(
-        "ga: cohort splice {:.2}x vs full | run {:.0} evals/s, {:.1}% prefix reused, {:.2}x \
-         whole-run",
-        ga_speedup,
-        ga_eps,
-        100.0 * ga_reuse,
-        ga_run_speedup
-    );
+    println!("ga: run {:.0} evals/s, {:.1}% prefix reused", ga_eps, 100.0 * ga_reuse);
     println!(
         "short scan ({} candidates, {} crew): pool {:.0}/s vs spawn {:.0}/s ({:.2}x pool reuse)",
         short_moves.len(),

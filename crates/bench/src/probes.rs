@@ -8,9 +8,8 @@
 //! baseline side of the `pool_reuse_speedup` series.
 
 use mshc_platform::{HcInstance, MachineId};
-use mshc_schedule::{Descent, Solution};
+use mshc_schedule::Solution;
 use mshc_taskgraph::TaskId;
-use rand::Rng;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -76,96 +75,6 @@ pub fn splice_move_grid(inst: &HcInstance, base: &Solution) -> Vec<(TaskId, usiz
         })
         .map(|(p, w)| (w[0].task, p + 1, w[0].machine))
         .collect()
-}
-
-/// A converged-regime GA generation: `count` offspring bred from
-/// `parents` with the default `GaConfig` operator mix at the selection
-/// fixpoint, where crossover of near-identical parents is the identity.
-/// Per child (matching the 0.6 crossover / 0.4 + 0.4 mutation rates):
-/// 36% no effective mutation (a clone), 24% one scheduling move, 24%
-/// one matching move, 16% both mutations on distinct tasks. Each child
-/// carries the same [`Descent`] the GA's generation loop would record,
-/// so `BatchEvaluator::score_population` sees exactly the shape the
-/// parent-primed prefix-splicing path is built for; the
-/// `ga_prefix_speedup_vs_full` series is measured on this cohort.
-/// Needs at least two machines.
-pub fn ga_offspring_cohort(
-    inst: &HcInstance,
-    parents: &[Solution],
-    count: usize,
-    rng: &mut impl Rng,
-) -> (Vec<Solution>, Vec<Descent>) {
-    // One random in-range relocation of a random task, machine kept;
-    // None if the draw was a no-op (the incumbent position).
-    fn sched_move(
-        inst: &HcInstance,
-        child: &mut Solution,
-        rng: &mut impl Rng,
-    ) -> Option<(TaskId, usize)> {
-        let g = inst.graph();
-        let t = TaskId::from_usize(rng.gen_range(0..inst.task_count()));
-        let (lo, hi) = child.valid_range(g, t);
-        let pos = rng.gen_range(lo..=hi);
-        (pos != child.position_of(t)).then(|| {
-            child.move_task(g, t, pos, child.machine_of(t)).expect("in-range");
-            (t, pos)
-        })
-    }
-    // A random reassignment of a random task to a different machine.
-    fn match_move(
-        inst: &HcInstance,
-        child: &mut Solution,
-        rng: &mut impl Rng,
-    ) -> (TaskId, usize, MachineId) {
-        let l = inst.machine_count();
-        let t = TaskId::from_usize(rng.gen_range(0..inst.task_count()));
-        let m = MachineId::from_usize((child.machine_of(t).index() + rng.gen_range(1..l)) % l);
-        let pos = child.position_of(t);
-        child.move_task(inst.graph(), t, pos, m).expect("same position");
-        (t, pos, m)
-    }
-    let k = inst.task_count();
-    let mut children = Vec::with_capacity(count);
-    let mut descents = Vec::with_capacity(count);
-    for i in 0..count {
-        let parent = i % parents.len();
-        let mut child = parents[parent].clone();
-        let r: f64 = rng.gen();
-        let descent = if r < 0.36 {
-            // No effective mutation (crossover of converged parents is
-            // the identity): the child IS the parent.
-            Descent::Clone { parent }
-        } else if r < 0.60 {
-            match sched_move(inst, &mut child, rng) {
-                Some((t, pos)) => {
-                    Descent::Move { parent, task: t, pos, machine: child.machine_of(t) }
-                }
-                None => Descent::Clone { parent },
-            }
-        } else if r < 0.84 {
-            let (t, pos, m) = match_move(inst, &mut child, rng);
-            Descent::Move { parent, task: t, pos, machine: m }
-        } else {
-            // Both mutations on (usually) distinct tasks — the GA
-            // classifies these by measured first divergence.
-            sched_move(inst, &mut child, rng);
-            match_move(inst, &mut child, rng);
-            let diverge = parents[parent]
-                .segments()
-                .iter()
-                .zip(child.segments())
-                .position(|(a, b)| a != b)
-                .unwrap_or(k);
-            match diverge {
-                d if d == k => Descent::Clone { parent },
-                0 => Descent::Fresh,
-                d => Descent::Suffix { parent, diverge: d },
-            }
-        };
-        children.push(child);
-        descents.push(descent);
-    }
-    (children, descents)
 }
 
 /// The pre-persistent-pool executor, preserved as a benchmark baseline:
@@ -277,53 +186,6 @@ mod tests {
             stats.spliced_fraction(),
             stats.scored,
         );
-    }
-
-    /// The GA cohort is valid input for `score_population`: every child
-    /// scores bit-identically to a scalar pass, the converged-regime
-    /// operator mix shows up (clones, moves and measured-divergence
-    /// suffixes all present), and every descent label is truthful.
-    #[test]
-    fn ga_cohort_is_honest_and_scores_exactly() {
-        use mshc_schedule::{BatchEvaluator, EvalSnapshot, Evaluator, ObjectiveKind};
-        let inst = WorkloadSpec::small(3).generate();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let parents: Vec<_> =
-            (0..4).map(|_| mshc_schedule::random_solution(&inst, &mut rng)).collect();
-        let (children, descents) = ga_offspring_cohort(&inst, &parents, 60, &mut rng);
-        assert_eq!(children.len(), 60);
-        let clones = descents.iter().filter(|d| matches!(d, Descent::Clone { .. })).count();
-        let moves = descents.iter().filter(|d| matches!(d, Descent::Move { .. })).count();
-        let suffixes = descents.iter().filter(|d| matches!(d, Descent::Suffix { .. })).count();
-        assert!(clones > 0 && moves > 0 && suffixes > 0, "{clones} / {moves} / {suffixes}");
-        for (child, d) in children.iter().zip(&descents) {
-            match *d {
-                Descent::Clone { parent } => assert_eq!(child, &parents[parent]),
-                Descent::Move { parent, task, pos, machine } => {
-                    let mut rebuilt = parents[parent].clone();
-                    rebuilt.move_task(inst.graph(), task, pos, machine).expect("in-range");
-                    assert_eq!(child, &rebuilt);
-                }
-                Descent::Suffix { parent, diverge } => {
-                    assert_eq!(child.segments()[..diverge], parents[parent].segments()[..diverge]);
-                    assert_ne!(child.segments()[diverge], parents[parent].segments()[diverge]);
-                }
-                Descent::Fresh => {}
-            }
-        }
-        let snapshot = EvalSnapshot::new(&inst);
-        let obj = ObjectiveKind::Makespan;
-        let mut eval = Evaluator::with_snapshot(&snapshot);
-        let parent_costs: Vec<f64> =
-            parents.iter().map(|p| eval.objective_value(p, &obj)).collect();
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let scores = pool.install(|| {
-            let mut batch = BatchEvaluator::new(&snapshot);
-            batch.score_population(&parents, &parent_costs, &children, &descents, &obj)
-        });
-        for (child, score) in children.iter().zip(&scores) {
-            assert_eq!(*score, eval.objective_value(child, &obj));
-        }
     }
 
     #[test]

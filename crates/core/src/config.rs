@@ -64,10 +64,6 @@ pub struct SeConfig {
     pub init_perturbations: Option<usize>,
     /// Allocation commit policy (paper: best-fit).
     pub allocation: AllocationStrategy,
-    /// Evaluate allocation candidates in parallel with Rayon. Results are
-    /// bit-identical to the serial path (deterministic argmin); worthwhile
-    /// only when `k × Y` is large enough to amortize fork/join overhead.
-    pub parallel_allocation: bool,
     /// Use incremental (prefix-cached) evaluation during allocation: the
     /// base schedule is primed once per allocation scan and every
     /// candidate move is scored by checkpoint-resumed suffix replay,
@@ -93,7 +89,6 @@ impl Default for SeConfig {
             seed: 2001, // the paper's year; any fixed default works
             init_perturbations: None,
             allocation: AllocationStrategy::BestFit,
-            parallel_allocation: false,
             incremental_eval: true,
             adaptive_bias: None,
         }
@@ -152,7 +147,6 @@ mod tests {
         let c = SeConfig::default();
         assert_eq!(c.allocation, AllocationStrategy::BestFit);
         assert_eq!(c.y_limit, None);
-        assert!(!c.parallel_allocation);
     }
 
     #[test]

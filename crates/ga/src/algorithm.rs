@@ -6,9 +6,9 @@ use crate::config::GaConfig;
 use mshc_obs as obs;
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::{
-    certified_gap, run_stepped, BatchEvaluator, Descent, EvalSnapshot, Evaluator, Incumbent,
-    InstanceBound, ObjectiveKind, RunBudget, RunResult, ScanStats, Scheduler, SearchStep, Solution,
-    StepVerdict, SteppableSearch,
+    certified_gap, run_stepped, BatchEvaluator, EvalSnapshot, Evaluator, Incumbent, InstanceBound,
+    ObjectiveKind, RunBudget, RunResult, ScanStats, Scheduler, SearchStep, Solution, StepVerdict,
+    SteppableSearch,
 };
 use mshc_taskgraph::TaskId;
 use mshc_trace::{Trace, TraceRecord};
@@ -59,69 +59,6 @@ fn roulette<R: Rng + ?Sized>(costs: &[f64], rng: &mut R) -> usize {
     costs.len() - 1
 }
 
-/// First string position where `a` and `b` differ (`a.len()` if equal).
-/// Segment-level comparison is the only sound way to find a child's
-/// divergence from its parent: the matching crossover is task-id-indexed,
-/// so a machine difference can surface at *any* string position
-/// regardless of the cut points.
-fn first_divergence(a: &Solution, b: &Solution) -> usize {
-    a.segments().iter().zip(b.segments()).position(|(x, y)| x != y).unwrap_or(a.len())
-}
-
-/// How one offspring was constructed, recorded during breeding so the
-/// fitness pass can classify its [`Descent`] from a parent without
-/// reverse-engineering the operators.
-struct Lineage {
-    /// Index of parent A (the prefix donor) in the previous generation.
-    parent: usize,
-    /// Whether crossover ran (divergence must then be measured, not
-    /// derived from cut points — see [`first_divergence`]).
-    crossed: bool,
-    /// Scheduling mutation that actually changed the order: the task and
-    /// its new position.
-    sched: Option<(TaskId, usize)>,
-    /// Matching mutation that actually changed a machine: the task.
-    matched: Option<TaskId>,
-}
-
-impl Lineage {
-    /// Classifies the child against its parent's solution string.
-    fn descent(&self, parent: &Solution, child: &Solution) -> Descent {
-        if !self.crossed {
-            match (self.sched, self.matched) {
-                (None, None) => return Descent::Clone { parent: self.parent },
-                // A single disturbed task — including the
-                // order-and-machine hit on the same task — is exactly
-                // the incremental evaluator's native move shape.
-                (Some((t, _)), m) if m.is_none() || m == Some(t) => {
-                    return Descent::Move {
-                        parent: self.parent,
-                        task: t,
-                        pos: child.position_of(t),
-                        machine: child.machine_of(t),
-                    };
-                }
-                (None, Some(t)) => {
-                    return Descent::Move {
-                        parent: self.parent,
-                        task: t,
-                        pos: child.position_of(t),
-                        machine: child.machine_of(t),
-                    };
-                }
-                // Two different tasks disturbed: fall through to the
-                // measured-divergence route.
-                _ => {}
-            }
-        }
-        match first_divergence(parent, child) {
-            d if d == child.len() => Descent::Clone { parent: self.parent },
-            0 => Descent::Fresh,
-            d => Descent::Suffix { parent: self.parent, diverge: d },
-        }
-    }
-}
-
 impl Scheduler for GaScheduler {
     fn name(&self) -> &str {
         "ga"
@@ -147,18 +84,9 @@ impl SteppableSearch for GaScheduler {
         let objective = budget.objective;
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         // Whole-population fitness goes through the batch evaluator: one
-        // call per generation, fanned out over worker threads. From
-        // generation 1 on, offspring carry lineage metadata and ride the
-        // parent-primed prefix-splicing path (`score_population`): a
-        // crossover child shares a literal prefix with parent A up to
-        // its first divergence, mutation-only children are native
-        // single-task moves, and exact clones reuse the parent's score
-        // outright — all bit-identical to a full pass, so roulette
-        // pressure and evaluation counts are unchanged (the
-        // `--ga-full-eval` escape hatch routes back through full
-        // passes). Generation 0 has no parents and full-evaluates.
+        // call of full passes per generation, fanned out over worker
+        // threads (see `score_generation` for the clone shortcut).
         let snapshot = EvalSnapshot::new(inst);
-        let mut sols: Vec<Solution> = Vec::with_capacity(cfg.population);
 
         // ---- initial population ----
         let mut pop: Vec<Chromosome> =
@@ -166,14 +94,10 @@ impl SteppableSearch for GaScheduler {
         if cfg.seed_with_heuristic {
             pop[0] = Chromosome::seeded(inst);
         }
-        sols.extend(pop.iter().map(|c| c.to_solution(inst)));
-        let mut evaluations = 0;
-        let costs = {
-            let mut batch = BatchEvaluator::new(&snapshot).with_stride(budget.checkpoint_stride);
-            let costs = batch.scores(&sols, &objective);
-            evaluations += batch.evaluations();
-            costs
-        };
+        let sols: Vec<Solution> = pop.iter().map(|c| c.to_solution(inst)).collect();
+        let mut batch = BatchEvaluator::new(&snapshot);
+        let costs = batch.scores(&sols, &objective);
+        let evaluations = batch.evaluations();
 
         let best_idx = argmin(&costs);
         let best = pop[best_idx].clone();
@@ -193,7 +117,6 @@ impl SteppableSearch for GaScheduler {
             snapshot,
             pop,
             costs,
-            sols,
             best_solution: best.to_solution(inst),
             best,
             best_cost,
@@ -220,7 +143,6 @@ struct GaState<'a> {
     snapshot: EvalSnapshot,
     pop: Vec<Chromosome>,
     costs: Vec<f64>,
-    sols: Vec<Solution>,
     best: Chromosome,
     /// `best` in solution form, maintained eagerly so
     /// [`SearchStep::incumbent`] can hand out a borrow.
@@ -229,8 +151,9 @@ struct GaState<'a> {
     generations: u64,
     stall: u64,
     evaluations: u64,
-    /// Population-scoring counters accumulated across steps (suffixed /
-    /// prefix-reused / splice diagnostics; all deterministic).
+    /// Population-scoring counters accumulated across steps: clone
+    /// children (`suffixed`), their reused strings (`prefix_reused`)
+    /// and all offspring positions (`suffix_total`); deterministic.
     scan: ScanStats,
     /// The certified instance floor (`Some` iff makespan objective).
     lower_bound: Option<f64>,
@@ -252,8 +175,7 @@ impl SearchStep for GaState<'_> {
         let g = self.inst.graph();
         let k = self.inst.task_count();
         let l = self.inst.machine_count();
-        let mut batch =
-            BatchEvaluator::new(&self.snapshot).with_stride(self.budget.checkpoint_stride);
+        let mut batch = BatchEvaluator::new(&self.snapshot);
         let mut stepped = 0u64;
 
         // Generation 0 (or an injected migrant) may already sit on the
@@ -272,25 +194,25 @@ impl SearchStep for GaState<'_> {
         {
             // ---- next generation ----
             let mut next = Vec::with_capacity(self.cfg.population);
-            let mut lineage = Vec::with_capacity(self.cfg.population);
+            // Each child's recorded parent: the elite's source, or parent A.
+            let mut parents = Vec::with_capacity(self.cfg.population);
             // Elitism: carry the best chromosomes over unchanged.
             let mut ranked: Vec<usize> = (0..self.pop.len()).collect();
             ranked.sort_by(|&a, &b| self.costs[a].total_cmp(&self.costs[b]).then(a.cmp(&b)));
             for &i in ranked.iter().take(self.cfg.elites) {
                 next.push(self.pop[i].clone());
-                lineage.push(Lineage { parent: i, crossed: false, sched: None, matched: None });
+                parents.push(i);
             }
             while next.len() < self.cfg.population {
                 // RNG consumption order is the fitness-bit contract:
                 // roulette(pa), roulette(pb), crossover draw (+cuts),
                 // sched-mutation draw (+task,pos), match-mutation draw
-                // (+task,machine). Lineage recording must not add draws.
+                // (+task,machine).
                 let ia = roulette(&self.costs, &mut self.rng);
                 let ib = roulette(&self.costs, &mut self.rng);
                 let pa = &self.pop[ia];
                 let pb = &self.pop[ib];
-                let crossed = self.rng.gen::<f64>() < self.cfg.crossover_prob;
-                let mut child = if crossed {
+                let mut child = if self.rng.gen::<f64>() < self.cfg.crossover_prob {
                     let cut_s = self.rng.gen_range(0..=k);
                     let cut_m = self.rng.gen_range(0..=k);
                     Chromosome {
@@ -300,54 +222,36 @@ impl SearchStep for GaState<'_> {
                 } else {
                     pa.clone()
                 };
-                let mut sched = None;
                 if self.rng.gen::<f64>() < self.cfg.sched_mutation_prob {
                     let t = TaskId::from_usize(self.rng.gen_range(0..k));
                     let (lo, hi) = order_valid_range(g, &child.order, t);
                     let pos = self.rng.gen_range(lo..=hi);
-                    let old = child.order.iter().position(|&x| x == t).expect("task present");
                     let moved = child.mutate_order(g, t, pos);
                     debug_assert!(moved);
-                    if pos != old {
-                        sched = Some((t, pos));
-                    }
                 }
-                let mut matched = None;
                 if self.rng.gen::<f64>() < self.cfg.match_mutation_prob {
                     let t = TaskId::from_usize(self.rng.gen_range(0..k));
                     let m = MachineId::from_usize(self.rng.gen_range(0..l));
-                    if child.matching[t.index()] != m {
-                        matched = Some(t);
-                    }
                     child.mutate_matching(t, m);
                 }
                 next.push(child);
-                lineage.push(Lineage { parent: ia, crossed, sched, matched });
+                parents.push(ia);
             }
-            // The outgoing generation becomes the parent pool: its
-            // solutions are the primable bases, its costs serve clones.
-            let parent_sols = std::mem::take(&mut self.sols);
-            let parent_costs = std::mem::take(&mut self.costs);
-            self.pop = next;
             let inst = self.inst;
-            self.sols.extend(self.pop.iter().map(|c| c.to_solution(inst)));
-            self.costs = if self.budget.ga_full_eval {
-                batch.scores(&self.sols, &self.objective)
-            } else {
-                let descents: Vec<Descent> = self
-                    .sols
-                    .iter()
-                    .zip(&lineage)
-                    .map(|(child, li)| li.descent(&parent_sols[li.parent], child))
-                    .collect();
-                batch.score_population(
-                    &parent_sols,
-                    &parent_costs,
-                    &self.sols,
-                    &descents,
-                    &self.objective,
-                )
-            };
+            let (costs, axes) = score_generation(
+                &mut batch,
+                inst,
+                &self.objective,
+                &self.pop,
+                &self.costs,
+                &next,
+                &parents,
+            );
+            // Clones skipped their pass but are charged like any child.
+            self.evaluations += axes.suffixed;
+            self.scan.merge(axes);
+            self.costs = costs;
+            self.pop = next;
 
             let best_idx = argmin(&self.costs);
             if self.costs[best_idx] < self.best_cost {
@@ -379,7 +283,6 @@ impl SearchStep for GaState<'_> {
         }
 
         self.evaluations += batch.evaluations();
-        self.scan.merge(batch.scan_stats());
         if self.early_stopped
             || self.cancelled
             || self.budget.halted(
@@ -414,10 +317,6 @@ impl SearchStep for GaState<'_> {
         if cost < self.costs[worst] {
             self.pop[worst] = Chromosome::from_solution(migrant);
             self.costs[worst] = cost;
-            // Keep the cached solution in sync: next generation's
-            // lineage classification uses `sols` as the primable bases
-            // (`from_solution` → `to_solution` round-trips exactly).
-            self.sols[worst] = migrant.clone();
             if cost < self.best_cost {
                 self.best = self.pop[worst].clone();
                 self.best_solution = self.best.to_solution(self.inst);
@@ -456,6 +355,56 @@ impl SearchStep for GaState<'_> {
             ),
         }
     }
+}
+
+/// Exact fitness of the offspring `children`, bred from the population
+/// `pop` (fitness `costs`) with `parents[i]` the recorded parent of child
+/// `i` — the elite's source, or parent A. Returns the costs and the
+/// generation's population counters.
+///
+/// A child whose chromosome equals its parent's encodes the same
+/// solution bit for bit, and a full pass over an identical solution
+/// recomputes identical bits, so it reuses the parent's cost without a
+/// pass. It is still charged one evaluation (the caller adds
+/// `suffixed` to its count): the evaluation axis measures candidates
+/// considered. Every other child takes one full pass through
+/// [`BatchEvaluator::scores`]. The routing reads only the chromosomes,
+/// so the counters are deterministic at any thread count.
+fn score_generation(
+    batch: &mut BatchEvaluator<'_>,
+    inst: &HcInstance,
+    objective: &ObjectiveKind,
+    pop: &[Chromosome],
+    costs: &[f64],
+    children: &[Chromosome],
+    parents: &[usize],
+) -> (Vec<f64>, ScanStats) {
+    let is_clone: Vec<bool> = children.iter().zip(parents).map(|(c, &p)| *c == pop[p]).collect();
+    let fresh: Vec<Solution> = children
+        .iter()
+        .zip(&is_clone)
+        .filter(|(_, &clone)| !clone)
+        .map(|(c, _)| c.to_solution(inst))
+        .collect();
+    let mut scores = batch.scores(&fresh, objective).into_iter();
+    let child_costs = parents
+        .iter()
+        .zip(&is_clone)
+        .map(|(&p, &clone)| if clone { costs[p] } else { scores.next().expect("one per fresh") })
+        .collect();
+
+    let clones = (children.len() - fresh.len()) as u64;
+    let k = inst.task_count() as u64;
+    let axes = ScanStats {
+        suffixed: clones,
+        prefix_reused: clones * k,
+        suffix_total: children.len() as u64 * k,
+        ..ScanStats::default()
+    };
+    obs::add(obs::Counter::ScanSuffixed, axes.suffixed);
+    obs::add(obs::Counter::ScanPrefixReused, axes.prefix_reused);
+    obs::add(obs::Counter::ScanSuffixTotal, axes.suffix_total);
+    (child_costs, axes)
 }
 
 fn argmin(costs: &[f64]) -> usize {
@@ -565,53 +514,50 @@ mod tests {
     }
 
     #[test]
-    fn spliced_fitness_is_bit_identical_to_full_eval() {
-        // The tentpole contract: parent-primed prefix splicing must not
-        // move a single fitness bit — same solutions, same objective
-        // values, same evaluation counts, same per-generation trace —
-        // across seeds, objectives and checkpoint strides.
-        let inst = random_instance(24, 4, 61);
-        let k = inst.task_count();
-        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
-        for seed in [3u64, 19] {
-            for kind in [ObjectiveKind::Makespan, ObjectiveKind::TotalFlowtime, weighted] {
-                for stride in [None, Some(1), Some(k + 3)] {
-                    let budget = RunBudget::iterations(12)
-                        .with_objective(kind)
-                        .with_checkpoint_stride(stride);
-                    let mut full_trace = Trace::new();
-                    let full = GaScheduler::with_seed(seed).run(
-                        &inst,
-                        &budget.clone().with_ga_full_eval(true),
-                        Some(&mut full_trace),
-                    );
-                    let mut spliced_trace = Trace::new();
-                    let spliced =
-                        GaScheduler::with_seed(seed).run(&inst, &budget, Some(&mut spliced_trace));
-                    let tag = format!("seed {seed}, {}, stride {stride:?}", kind.label());
-                    assert_eq!(spliced.solution, full.solution, "{tag}");
-                    assert_eq!(spliced.objective_value, full.objective_value, "{tag}");
-                    assert_eq!(spliced.evaluations, full.evaluations, "{tag}");
-                    assert_eq!(spliced.iterations, full.iterations, "{tag}");
-                    // Traces match record-for-record on every
-                    // deterministic field (elapsed wall time obviously
-                    // differs between the two runs).
-                    assert_eq!(spliced_trace.records().len(), full_trace.records().len(), "{tag}");
-                    for (s, f) in spliced_trace.records().iter().zip(full_trace.records()) {
-                        assert_eq!(s.iteration, f.iteration, "{tag}");
-                        assert_eq!(s.evaluations, f.evaluations, "{tag}");
-                        assert_eq!(s.current_cost, f.current_cost, "{tag}");
-                        assert_eq!(s.best_cost, f.best_cost, "{tag}");
-                        assert_eq!(s.population_mean, f.population_mean, "{tag}");
-                    }
-                    // The spliced run actually rode the fast path...
-                    assert!(spliced.scan.suffixed > 0, "{tag}");
-                    assert!(spliced.scan.prefix_reused > 0, "{tag}");
-                    // ...and the escape hatch really is full evaluation.
-                    assert_eq!(full.scan.suffix_total, 0, "{tag}");
-                }
-            }
-        }
+    fn clone_children_reuse_parent_cost_bits_and_count_one_evaluation() {
+        let inst = random_instance(20, 3, 63);
+        let k = inst.task_count() as u64;
+        let snapshot = EvalSnapshot::new(&inst);
+        let objective = ObjectiveKind::TotalFlowtime;
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let pop: Vec<Chromosome> = (0..4).map(|_| Chromosome::random(&inst, &mut rng)).collect();
+        let mut eval = Evaluator::new(&inst);
+        let mut cost = |c: &Chromosome| eval.objective_value(&c.to_solution(&inst), &objective);
+        let costs: Vec<f64> = pop.iter().map(&mut cost).collect();
+        // Two clones (of parents 2 and 1) around one fresh child.
+        let fresh = Chromosome::random(&inst, &mut rng);
+        assert_ne!(fresh, pop[0]);
+        let children = vec![pop[2].clone(), fresh.clone(), pop[1].clone()];
+        let mut batch = BatchEvaluator::new(&snapshot);
+        let (got, axes) =
+            score_generation(&mut batch, &inst, &objective, &pop, &costs, &children, &[2, 0, 1]);
+        assert_eq!(got[0].to_bits(), costs[2].to_bits());
+        assert_eq!(got[2].to_bits(), costs[1].to_bits());
+        assert_eq!(got[1].to_bits(), cost(&fresh).to_bits());
+        // One full pass ran; each clone is charged one evaluation.
+        assert_eq!(batch.evaluations(), 1);
+        assert_eq!(axes.suffixed, 2);
+        assert_eq!((axes.prefix_reused, axes.suffix_total), (2 * k, 3 * k));
+    }
+
+    #[test]
+    fn all_clone_generations_charge_every_child() {
+        // No crossover and no mutation: every offspring is a clone of
+        // parent A, so after generation 0 no pass runs at all — yet the
+        // evaluation axis still counts one per child.
+        let inst = random_instance(16, 3, 64);
+        let cfg = GaConfig {
+            seed: 3,
+            crossover_prob: 0.0,
+            sched_mutation_prob: 0.0,
+            match_mutation_prob: 0.0,
+            ..GaConfig::default()
+        };
+        let r = GaScheduler::new(cfg).run(&inst, &RunBudget::iterations(5), None);
+        let children = cfg.population as u64 * r.iterations;
+        assert_eq!(r.evaluations, cfg.population as u64 + children);
+        assert_eq!(r.scan.suffixed, children);
+        assert_eq!(r.scan.prefix_reuse_fraction(), 1.0);
     }
 
     #[test]

@@ -54,16 +54,16 @@ pub enum Counter {
     ///
     /// [`Evaluator`]: ../../mshc_schedule/struct.Evaluator.html
     Evaluations,
-    /// Tier-3 move/suffix scorings (pruned candidates included — the
+    /// Tier-3 move scorings (pruned candidates included — the
     /// evaluation-count contract).
     ScanScored,
     /// Scorings abandoned by the bound cut.
     ScanPruned,
     /// Scorings completed early by a reconvergence splice.
     ScanSpliced,
-    /// Population children scored through the parent-primed path.
+    /// Population children that reused a bit-identical parent's cost.
     ScanSuffixed,
-    /// String positions served from primed prefixes instead of replay.
+    /// String positions served from a parent's cost instead of a pass.
     ScanPrefixReused,
     /// Total string positions across population children scored.
     ScanSuffixTotal,
@@ -162,7 +162,7 @@ impl Gauge {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// Whole parallel move/population scan latency.
+    /// Whole parallel move-scan latency.
     ScanLatencyUs,
     /// Tournament cell wall time.
     CellUs,

@@ -71,7 +71,7 @@ pub struct DeterministicPlane {
     /// Tier-1 full evaluation passes.
     #[serde(default)]
     pub evaluations: u64,
-    /// Tier-3 move/suffix scorings (mirrors `ScanStats::scored`).
+    /// Tier-3 move scorings (mirrors `ScanStats::scored`).
     #[serde(default)]
     pub scan_scored: u64,
     /// Scorings abandoned by the bound cut.
@@ -80,10 +80,10 @@ pub struct DeterministicPlane {
     /// Scorings completed early by a reconvergence splice.
     #[serde(default)]
     pub scan_spliced: u64,
-    /// Population children scored through the parent-primed path.
+    /// Population children that reused a bit-identical parent's cost.
     #[serde(default)]
     pub scan_suffixed: u64,
-    /// String positions served from primed prefixes instead of replay.
+    /// String positions served from a parent's cost instead of a pass.
     #[serde(default)]
     pub scan_prefix_reused: u64,
     /// Total string positions across population children scored.
@@ -150,8 +150,8 @@ impl DeterministicPlane {
         fraction(self.scan_spliced, self.scan_scored)
     }
 
-    /// Fraction of population string positions served from primed
-    /// prefixes (same definition as `ScanStats::prefix_reuse_fraction`).
+    /// Fraction of population string positions served from a parent's
+    /// cost (same definition as `ScanStats::prefix_reuse_fraction`).
     pub fn prefix_reuse_fraction(&self) -> f64 {
         fraction(self.scan_prefix_reused, self.scan_suffix_total)
     }

@@ -14,17 +14,21 @@
 //! `Mutex<Vec>` scramble, and steady-state batch scoring performs no
 //! allocations beyond the output vector.
 //!
-//! The move-oriented entry points ([`score_moves`], [`score_task_moves`])
-//! route through the per-thread incremental evaluators whenever the
-//! objective supports accumulator finalization (every
-//! [`crate::ObjectiveKind`] does): workers prime their evaluator on the
-//! shared base and score candidates by suffix replay — no per-candidate
-//! `Solution` mutation at all. Because a worker's slot survives across
-//! chunks, the prime is stamped with a per-scan epoch and **reused** by
-//! every later chunk the same worker claims within the scan (the base,
-//! stride, pruning flags and floor are scan-constant), eliminating the
-//! old re-prime-per-chunk cost. Objectives without incremental support
-//! fall back to clone-and-move full passes.
+//! Two candidate shapes, one entry point family each:
+//!
+//! - **whole solutions** ([`scores`]) share no base, so every candidate
+//!   takes one full (tier-1) pass — the GA's population fitness;
+//! - **single-task moves of one base** ([`score_task_moves`],
+//!   [`best_task_move`]) route through the per-thread incremental
+//!   evaluators whenever the objective supports accumulator
+//!   finalization (every [`crate::ObjectiveKind`] does): workers prime
+//!   their evaluator on the shared base and score candidates by suffix
+//!   replay — no per-candidate `Solution` mutation at all. Because a
+//!   worker's slot survives across chunks, the prime is stamped with a
+//!   per-scan epoch and **reused** by every later chunk the same worker
+//!   claims within the scan (the base, stride, pruning flags and floor
+//!   are scan-constant). Objectives without incremental support fall
+//!   back to clone-and-move full passes.
 //!
 //! Panic hygiene: a panicking objective (already `catch_unwind`-contained
 //! by tournament cells) discards the arena it was using instead of
@@ -34,13 +38,14 @@
 //!
 //! Determinism: scores are returned **in candidate order** and every
 //! candidate's score depends only on that candidate, so results are
-//! bit-identical at any thread count — the serial-vs-parallel SE guard
-//! tests pin this down. Per-chunk primes are deliberately *not* counted
-//! into [`evaluations`](BatchEvaluator::evaluations): the chunk grid
-//! varies with the thread count, and the evaluation axis must not.
+//! bit-identical at any thread count — the thread-invariance tests pin
+//! this down. Per-chunk primes are deliberately *not* counted into
+//! [`evaluations`](BatchEvaluator::evaluations): the chunk grid varies
+//! with the thread count, and the evaluation axis must not.
 //!
-//! [`score_moves`]: BatchEvaluator::score_moves
+//! [`scores`]: BatchEvaluator::scores
 //! [`score_task_moves`]: BatchEvaluator::score_task_moves
+//! [`best_task_move`]: BatchEvaluator::best_task_move
 
 use crate::encoding::Solution;
 use crate::eval::Evaluator;
@@ -71,50 +76,6 @@ pub struct BestMove {
     pub score: f64,
 }
 
-/// How a population candidate descends from the parent pool — the
-/// routing metadata [`BatchEvaluator::score_population`] consumes. The
-/// caller (the GA generation loop) computes one per child; every
-/// variant scores bit-identically to a full evaluation of the child,
-/// so the routing is a pure cost decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Descent {
-    /// No usable parent lineage: full tier-1 evaluation.
-    Fresh,
-    /// Bit-for-bit copy of `parents[parent]` (an elite, or crossover of
-    /// converged parents with no effective mutation): the parent's
-    /// known cost **is** the child's cost — a full pass over an
-    /// identical solution recomputes identical bits.
-    Clone {
-        /// Index into the parent pool.
-        parent: usize,
-    },
-    /// `parents[parent]` with exactly one task moved
-    /// (remove-then-insert, [`Solution::move_task`] semantics) — the
-    /// mutation-only child shape, routed through the existing
-    /// [`IncrementalEvaluator::score_move`] path.
-    Move {
-        /// Index into the parent pool.
-        parent: usize,
-        /// The relocated task.
-        task: TaskId,
-        /// Its new string position.
-        pos: usize,
-        /// Its new machine.
-        machine: MachineId,
-    },
-    /// Shares the string prefix `[0, diverge)` with `parents[parent]`
-    /// (crossover offspring): scored by
-    /// [`IncrementalEvaluator::score_suffix`] against the parent-primed
-    /// checkpoints.
-    Suffix {
-        /// Index into the parent pool.
-        parent: usize,
-        /// First string position where the child's segments differ from
-        /// the parent's (any smaller value is also sound).
-        diverge: usize,
-    },
-}
-
 /// One worker's reusable state: evaluators over the shared snapshot and
 /// an optional scratch solution for non-incremental move scoring.
 struct Arena<'a> {
@@ -125,17 +86,6 @@ struct Arena<'a> {
     /// the prime inputs are constant, so a matching stamp lets a worker
     /// reuse its prime across every chunk it claims in that scan.
     primed_epoch: u64,
-    /// Whether `inc` currently holds a *population-mode* prime
-    /// (splicing on, pruning off, floor inert) — the GA parent shape.
-    /// Unlike scan primes, population primes are keyed by the primed
-    /// base itself, not an epoch: dominant parents and elites recur
-    /// bit-identically across generations, so a worker that meets the
-    /// same parent again skips the prime entirely.
-    pop_primed: bool,
-    /// Stride the population prime was taken at (reuse requires a
-    /// match; the stride is a bit-neutral cost knob, but checkpoints
-    /// built at one stride cannot serve resumes computed for another).
-    pop_stride: Option<usize>,
 }
 
 impl<'a> Arena<'a> {
@@ -145,8 +95,6 @@ impl<'a> Arena<'a> {
             inc: IncrementalEvaluator::with_snapshot(snap),
             scratch: None,
             primed_epoch: 0,
-            pop_primed: false,
-            pop_stride: None,
         }
     }
 }
@@ -241,38 +189,6 @@ impl<'p, 'a> ArenaGuard<'p, 'a> {
             arena.inc.set_scan_floor(scan_floor);
             arena.inc.prime(base);
             arena.primed_epoch = epoch;
-            arena.pop_primed = false;
-        }
-        guard
-    }
-
-    /// Checks out an arena primed on a GA parent for population scoring:
-    /// splicing on (splices are bit-exact), pruning **off** (roulette
-    /// needs every exact value), floor inert. The prime is keyed by the
-    /// base solution itself rather than a scan epoch — if the arena
-    /// already holds a population prime on a bit-identical base at the
-    /// same stride (the dominant parent of a converged population, or
-    /// an elite recurring across generations), it is reused as-is.
-    fn checkout_population(
-        pool: &'p ArenaPool<'a>,
-        snap: &'a EvalSnapshot,
-        base: &Solution,
-        stride: Option<usize>,
-    ) -> ArenaGuard<'p, 'a> {
-        let mut guard = ArenaGuard::checkout(pool, snap);
-        let arena = guard.arena.as_mut().expect("arena present until drop");
-        let reusable =
-            arena.pop_primed && arena.pop_stride == stride && arena.inc.base() == Some(base);
-        if !reusable {
-            arena.inc.set_stride(stride);
-            arena.inc.set_pruning(false);
-            arena.inc.set_splicing(true);
-            arena.inc.set_scan_floor(f64::NEG_INFINITY);
-            arena.inc.prime(base);
-            arena.pop_primed = true;
-            arena.pop_stride = stride;
-            // A later move scan must not mistake this for its own prime.
-            arena.primed_epoch = 0;
         }
         guard
     }
@@ -429,251 +345,13 @@ impl<'a> BatchEvaluator<'a> {
         out
     }
 
-    /// Scores a GA generation against its parent pool: `out[i]` is the
-    /// exact score of `children[i]`, bit-identical to
-    /// [`scores`](Self::scores) over the same children, computed with as
-    /// little replay as the lineage allows. `descents[i]` says how child
-    /// `i` descends from `parents` (with `parent_costs` the parents' own
-    /// scores, as returned by the previous generation's scoring):
-    ///
-    /// - [`Descent::Clone`] children reuse the parent's cost outright —
-    ///   a full pass over a bit-identical solution recomputes identical
-    ///   bits, so no pass runs at all;
-    /// - [`Descent::Move`] and [`Descent::Suffix`] children are grouped
-    ///   by parent; each group primes one per-worker incremental
-    ///   evaluator on its parent (reused across generations when the
-    ///   parent recurs — see `ArenaGuard::checkout_population`) and
-    ///   scores its children by checkpoint-resumed suffix replay with
-    ///   reconvergence splicing, pruning off;
-    /// - [`Descent::Fresh`] children take the tier-1 full pass.
-    ///
-    /// A parent group whose summed divergence indices don't cover the
-    /// ~two-walk cost of a prime is demoted to full passes — the
-    /// routing guard that keeps unconverged (random) populations from
-    /// paying more for priming than the prefixes save. The demotion
-    /// rule reads only the descent metadata, so routing — and with it
-    /// every counter this method touches — is deterministic at any
-    /// thread count.
-    ///
-    /// Every child counts as exactly one evaluation, clones and
-    /// demotions included: the evaluation axis measures candidates
-    /// considered, exactly like [`scores`](Self::scores).
-    ///
-    /// # Panics
-    /// If slice lengths disagree, a descent names a parent index out of
-    /// range, or (debug) a divergence index exceeds the string length.
-    pub fn score_population(
-        &mut self,
-        parents: &[Solution],
-        parent_costs: &[f64],
-        children: &[Solution],
-        descents: &[Descent],
-        obj: &dyn Objective,
-    ) -> Vec<f64> {
-        assert_eq!(children.len(), descents.len(), "one descent per child");
-        assert_eq!(parents.len(), parent_costs.len(), "one cost per parent");
-        if children.is_empty() {
-            return Vec::new();
-        }
-        let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
-        let k = self.snap.task_count();
-        let incremental = obj.supports_incremental();
-
-        // Route deterministically: clones shortcut, lineage children
-        // group by parent, everything else full-evaluates. `savings`
-        // accumulates the string positions each group's prime would
-        // save; a prime costs about two walks (the priming pass plus
-        // checkpoint/suffix sweeps), so groups below `2k` are demoted.
-        enum Kid {
-            Move { idx: usize, task: TaskId, pos: usize, machine: MachineId },
-            Suffix { idx: usize, diverge: usize },
-        }
-        let mut clones: Vec<(usize, usize)> = Vec::new();
-        let mut fulls: Vec<usize> = Vec::new();
-        let mut grouped: Vec<(Vec<Kid>, u64)> = Vec::new();
-        let mut group_of: Vec<Option<usize>> = vec![None; parents.len()];
-        let mut group_parent: Vec<usize> = Vec::new();
-        for (i, d) in descents.iter().enumerate() {
-            let lineage = match *d {
-                Descent::Fresh => None,
-                Descent::Clone { parent } => {
-                    assert!(parent < parents.len(), "clone parent out of range");
-                    clones.push((i, parent));
-                    continue;
-                }
-                Descent::Move { parent, task, pos, machine } if incremental => {
-                    let reused = parents[parent].position_of(task).min(pos);
-                    Some((parent, Kid::Move { idx: i, task, pos, machine }, reused))
-                }
-                Descent::Suffix { parent, diverge } if incremental => {
-                    debug_assert!(diverge <= k, "divergence index out of range");
-                    Some((parent, Kid::Suffix { idx: i, diverge }, diverge))
-                }
-                Descent::Move { .. } | Descent::Suffix { .. } => None,
-            };
-            match lineage {
-                Some((parent, kid, reused)) => {
-                    assert!(parent < parents.len(), "lineage parent out of range");
-                    let g = *group_of[parent].get_or_insert_with(|| {
-                        grouped.push((Vec::new(), 0));
-                        group_parent.push(parent);
-                        grouped.len() - 1
-                    });
-                    grouped[g].0.push(kid);
-                    grouped[g].1 += reused as u64;
-                }
-                None => fulls.push(i),
-            }
-        }
-        // Demote unprofitable groups to full passes, keeping the
-        // profitable ones in first-encounter order.
-        let prime_cost = 2 * k as u64;
-        let mut groups: Vec<(usize, Vec<Kid>)> = Vec::new();
-        let mut reused_positions = 0u64;
-        for ((kids, savings), parent) in grouped.into_iter().zip(group_parent) {
-            if savings >= prime_cost {
-                reused_positions += savings;
-                groups.push((parent, kids));
-            } else {
-                fulls.extend(kids.iter().map(|kid| match *kid {
-                    Kid::Move { idx, .. } | Kid::Suffix { idx, .. } => idx,
-                }));
-            }
-        }
-
-        let snap = self.snap;
-        let pool = &self.arenas;
-        let stride = self.stride;
-        let before = self.arena_totals();
-        let mut out = vec![0.0f64; children.len()];
-        // Lineage groups first (one item per parent: its children score
-        // on one worker against one prime), then the full-pass spill.
-        let group_scores: Vec<Vec<f64>> = groups
-            .par_iter()
-            .map(|(parent, kids)| {
-                let mut guard =
-                    ArenaGuard::checkout_population(pool, snap, &parents[*parent], stride);
-                let inc = guard.inc();
-                kids.iter()
-                    .map(|kid| match *kid {
-                        Kid::Move { task, pos, machine, .. } => {
-                            inc.score_move(task, pos, machine, obj)
-                        }
-                        Kid::Suffix { ref idx, diverge } => {
-                            inc.score_suffix(&children[*idx], diverge, obj)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        for ((_, kids), scores) in groups.iter().zip(group_scores) {
-            for (kid, score) in kids.iter().zip(scores) {
-                let (Kid::Move { idx, .. } | Kid::Suffix { idx, .. }) = *kid;
-                out[idx] = score;
-            }
-        }
-        let full_scores: Vec<f64> = fulls
-            .par_iter()
-            .map_init(
-                || ArenaGuard::checkout(pool, snap),
-                |guard, &i| {
-                    let (eval, _) = guard.parts();
-                    eval.objective_value(&children[i], obj)
-                },
-            )
-            .collect();
-        for (&i, score) in fulls.iter().zip(full_scores) {
-            out[i] = score;
-        }
-        for &(i, parent) in &clones {
-            out[i] = parent_costs[parent];
-        }
-
-        self.evaluations += children.len() as u64;
-        self.absorb_arena_stats(before);
-        // Population axes (deterministic — see the routing note above):
-        // clones reuse their whole string, lineage children their shared
-        // prefix; demoted and fresh children only widen the denominator.
-        let lineage_children: u64 = groups.iter().map(|(_, kids)| kids.len() as u64).sum();
-        let axes = ScanStats {
-            suffixed: lineage_children + clones.len() as u64,
-            prefix_reused: reused_positions + (clones.len() * k) as u64,
-            suffix_total: (children.len() * k) as u64,
-            ..ScanStats::default()
-        };
-        obs::add(obs::Counter::ScanSuffixed, axes.suffixed);
-        obs::add(obs::Counter::ScanPrefixReused, axes.prefix_reused);
-        obs::add(obs::Counter::ScanSuffixTotal, axes.suffix_total);
-        self.scan.merge(axes);
-        out
-    }
-
-    /// Scores the candidate set "`base` with task `t` moved to
-    /// `(position, machine)`" for every entry of `moves` — the SE
-    /// allocation ripple scan's shape. Incremental-capable objectives are
-    /// scored by suffix replay against a once-per-chunk primed base;
-    /// others fall back to a scratch clone re-moved per candidate.
-    pub fn score_moves(
-        &mut self,
-        graph: &TaskGraph,
-        base: &Solution,
-        t: TaskId,
-        moves: &[(usize, MachineId)],
-        obj: &dyn Objective,
-    ) -> Vec<f64> {
-        let _scan_timer = obs::timer(obs::Hist::ScanLatencyUs);
-        self.scan_epoch += 1;
-        let epoch = self.scan_epoch;
-        let snap = self.snap;
-        let pool = &self.arenas;
-        let stride = self.stride;
-        let prune = self.prune;
-        let before = self.arena_totals();
-        let out: Vec<f64> = if obj.supports_incremental() {
-            moves
-                .par_iter()
-                .map_init(
-                    || {
-                        ArenaGuard::checkout_primed(
-                            pool,
-                            snap,
-                            base,
-                            stride,
-                            prune,
-                            f64::NEG_INFINITY,
-                            epoch,
-                        )
-                    },
-                    |guard, &(pos, m)| guard.inc().score_move(t, pos, m, obj),
-                )
-                .collect()
-        } else {
-            moves
-                .par_iter()
-                .map_init(
-                    || ArenaGuard::checkout_with_base(pool, snap, base),
-                    |guard, &(pos, m)| {
-                        let (eval, scratch) = guard.parts();
-                        let scratch = scratch.as_mut().expect("checkout_with_base sets scratch");
-                        scratch.move_task(graph, t, pos, m).expect("candidate within valid range");
-                        eval.objective_value(scratch, obj)
-                    },
-                )
-                .collect()
-        };
-        self.evaluations += moves.len() as u64;
-        self.absorb_arena_stats(before);
-        out
-    }
-
     /// Scores the candidate set "`base` with one task moved" where each
     /// entry may move a *different* task — the sampled-neighborhood shape
-    /// (tabu search). Same routing as [`score_moves`]: incremental
-    /// objectives never touch a scratch solution; the fallback undoes
-    /// each move before the next so the scratch stays equal to `base`
-    /// throughout a chunk.
-    ///
-    /// [`score_moves`]: BatchEvaluator::score_moves
+    /// (tabu search). Incremental-capable objectives are scored by
+    /// suffix replay against a once-per-worker primed base and never
+    /// touch a scratch solution; others fall back to a scratch clone of
+    /// `base`, undoing each move before the next so the scratch stays
+    /// equal to `base` throughout a chunk.
     pub fn score_task_moves(
         &mut self,
         graph: &TaskGraph,
@@ -729,40 +407,26 @@ impl<'a> BatchEvaluator<'a> {
         out
     }
 
-    /// Bounded argmin over the single-task candidate grid "`base` with
-    /// task `t` moved to `(position, machine)`" — the SE allocation
-    /// ripple scan. Returns the earliest-index minimum with its exact
-    /// score (`None` only for an empty grid).
-    ///
-    /// Each worker chunk threads its running best into
-    /// [`IncrementalEvaluator::score_move_bounded`], so provably losing
-    /// candidates are abandoned mid-replay. The winner is invariant
-    /// under the chunk grid: a pruned candidate's score is `>` some
-    /// already-seen exact score, so no minimum (first minimum included)
-    /// is ever pruned — the scan commits **exactly** the argmin an
-    /// unbounded [`score_moves`](Self::score_moves) + fold would, with
-    /// the same evaluation count (`moves.len()`), at any thread count.
-    pub fn best_move(
-        &mut self,
-        graph: &TaskGraph,
-        base: &Solution,
-        t: TaskId,
-        moves: &[(usize, MachineId)],
-        obj: &dyn Objective,
-    ) -> Option<BestMove> {
-        let move_at = |i: usize| (t, moves[i].0, moves[i].1);
-        self.bounded_argmin(graph, base, moves.len(), move_at, None, f64::INFINITY, obj)
-    }
-
-    /// Bounded argmin over a mixed-task move sample (tabu's shape).
+    /// Bounded argmin over a move sample "`base` with one task moved" —
+    /// tabu's sampled neighborhood, and any single-task grid.
     ///
     /// `admissible` marks moves that may always be chosen; a
     /// non-admissible move (a tabu task) is only eligible when its score
     /// strictly beats `aspiration` (the global best — tabu's aspiration
     /// criterion). `None` admits everything. Returns the earliest-index
-    /// minimum among eligible candidates — exactly what the sequential
-    /// skip-tabu-unless-aspirating scan selects — or `None` when no move
-    /// is eligible. Evaluation count is `moves.len()` regardless.
+    /// minimum among eligible candidates with its exact score — exactly
+    /// what the sequential skip-tabu-unless-aspirating scan selects — or
+    /// `None` when no move is eligible. Evaluation count is
+    /// `moves.len()` regardless.
+    ///
+    /// Each worker chunk threads its running best into
+    /// [`IncrementalEvaluator::score_move_bounded`], so provably losing
+    /// candidates are abandoned mid-replay. The winner is invariant
+    /// under the chunk grid: a pruned candidate's score is `>=` some
+    /// already-seen exact score at an earlier index, so no first minimum
+    /// is ever pruned — the scan commits **exactly** the argmin an
+    /// unbounded [`score_task_moves`](Self::score_task_moves) + fold
+    /// would, at any thread count.
     pub fn best_task_move(
         &mut self,
         graph: &TaskGraph,
@@ -775,32 +439,13 @@ impl<'a> BatchEvaluator<'a> {
         if let Some(mask) = admissible {
             debug_assert_eq!(mask.len(), moves.len(), "admissible mask/move mismatch");
         }
-        self.bounded_argmin(graph, base, moves.len(), |i| moves[i], admissible, aspiration, obj)
-    }
-
-    /// Shared bounded-argmin engine. `move_at` resolves candidate `i`;
-    /// admissible candidates contend unconditionally (pruned only
-    /// against the chunk's running best), non-admissible ones only below
-    /// `aspiration` (which then also joins their pruning cut).
-    #[allow(clippy::too_many_arguments)]
-    fn bounded_argmin(
-        &mut self,
-        graph: &TaskGraph,
-        base: &Solution,
-        len: usize,
-        move_at: impl Fn(usize) -> (TaskId, usize, MachineId) + Sync,
-        admissible: Option<&[bool]>,
-        aspiration: f64,
-        obj: &dyn Objective,
-    ) -> Option<BestMove> {
-        if len == 0 {
+        if moves.is_empty() {
             return None;
         }
         if !obj.supports_incremental() {
             // Full-pass fallback: score everything (counting happens in
             // the called method), then fold eligibility sequentially.
-            let moves: Vec<(TaskId, usize, MachineId)> = (0..len).map(&move_at).collect();
-            let scores = self.score_task_moves(graph, base, &moves, obj);
+            let scores = self.score_task_moves(graph, base, moves, obj);
             return fold_eligible(
                 None,
                 scores.iter().enumerate().map(|(i, &s)| (i, MoveScore::Exact(s))),
@@ -817,7 +462,7 @@ impl<'a> BatchEvaluator<'a> {
         let prune = self.prune;
         let scan_floor = self.scan_floor;
         let before = self.arena_totals();
-        let chunks = self.scan_chunks(len);
+        let chunks = self.scan_chunks(moves.len());
         // One chunk = one item: the per-chunk running bound lives inside
         // the item computation, so per-item results stay deterministic
         // (the merged winner is chunk-grid invariant besides).
@@ -829,7 +474,7 @@ impl<'a> BatchEvaluator<'a> {
                     let inc = guard.inc();
                     let mut best: Option<BestMove> = None;
                     for i in range.clone() {
-                        let (t, pos, m) = move_at(i);
+                        let (t, pos, m) = moves[i];
                         let local = best.map_or(f64::INFINITY, |b| b.score);
                         let adm = admissible.is_none_or(|a| a[i]);
                         // A non-admissible candidate must beat both the
@@ -852,7 +497,7 @@ impl<'a> BatchEvaluator<'a> {
                 },
             )
             .collect();
-        self.evaluations += len as u64;
+        self.evaluations += moves.len() as u64;
         self.absorb_arena_stats(before);
         // Merge in chunk (index) order; strict improvement (under
         // total_cmp, so a NaN from a custom objective ranks greatest
@@ -890,9 +535,7 @@ impl<'a> BatchEvaluator<'a> {
             scored: after.scored.saturating_sub(before.scored),
             pruned: after.pruned.saturating_sub(before.pruned),
             spliced: after.spliced.saturating_sub(before.spliced),
-            suffixed: after.suffixed.saturating_sub(before.suffixed),
-            prefix_reused: after.prefix_reused.saturating_sub(before.prefix_reused),
-            suffix_total: after.suffix_total.saturating_sub(before.suffix_total),
+            ..ScanStats::default()
         });
     }
 }
@@ -982,222 +625,30 @@ mod tests {
         }
     }
 
-    fn first_divergence(a: &Solution, b: &Solution) -> usize {
-        a.segments().iter().zip(b.segments()).position(|(x, y)| x != y).unwrap_or(a.len())
-    }
-
-    /// Builds a lineage-annotated offspring pool: per parent one exact
-    /// clone, one single-move child, and three multi-move suffix
-    /// children, plus three fresh immigrants — every [`Descent`] arm.
-    fn population_fixture(
-        inst: &HcInstance,
-        rng: &mut ChaCha8Rng,
-        parents: usize,
-    ) -> (Vec<Solution>, Vec<Solution>, Vec<Descent>) {
-        let g = inst.graph();
-        let k = inst.task_count();
-        let l = inst.machine_count();
-        let pool: Vec<Solution> = (0..parents).map(|_| random_solution(inst, rng)).collect();
-        let mut children = Vec::new();
-        let mut descents = Vec::new();
-        for (p, parent) in pool.iter().enumerate() {
-            children.push(parent.clone());
-            descents.push(Descent::Clone { parent: p });
-            let t = TaskId::from_usize(rng.gen_range(0..k));
-            let (lo, hi) = parent.valid_range(g, t);
-            let pos = rng.gen_range(lo..=hi);
-            let m = MachineId::from_usize(rng.gen_range(0..l));
-            let mut child = parent.clone();
-            child.move_task(g, t, pos, m).unwrap();
-            children.push(child);
-            descents.push(Descent::Move { parent: p, task: t, pos, machine: m });
-            for _ in 0..3 {
-                let mut child = parent.clone();
-                for _ in 0..rng.gen_range(1..=3usize) {
-                    let t = TaskId::from_usize(rng.gen_range(0..k));
-                    let (lo, hi) = child.valid_range(g, t);
-                    let pos = rng.gen_range(lo..=hi);
-                    child.move_task(g, t, pos, MachineId::from_usize(rng.gen_range(0..l))).unwrap();
-                }
-                let diverge = first_divergence(parent, &child);
-                children.push(child);
-                descents.push(Descent::Suffix { parent: p, diverge });
-            }
-        }
-        for _ in 0..3 {
-            children.push(random_solution(inst, rng));
-            descents.push(Descent::Fresh);
-        }
-        (pool, children, descents)
+    /// The SE allocation-scan shape: every `(position, machine)` of
+    /// `t`'s valid range on `base`, as single-task moves.
+    fn task_grid(
+        g: &TaskGraph,
+        base: &Solution,
+        t: TaskId,
+        machines: u32,
+    ) -> Vec<(TaskId, usize, MachineId)> {
+        let (lo, hi) = base.valid_range(g, t);
+        (lo..=hi).flat_map(|p| (0..machines).map(move |m| (t, p, MachineId::new(m)))).collect()
     }
 
     #[test]
-    fn score_population_matches_scalar_for_every_objective() {
-        let inst = random_instance(24, 4, 31);
-        let snap = EvalSnapshot::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let (parents, children, descents) = population_fixture(&inst, &mut rng, 5);
-        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
-        for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
-            let mut scalar = Evaluator::new(&inst);
-            let parent_costs: Vec<f64> =
-                parents.iter().map(|s| scalar.objective_value(s, &kind)).collect();
-            let want: Vec<f64> =
-                children.iter().map(|s| scalar.objective_value(s, &kind)).collect();
-            let mut batch = BatchEvaluator::new(&snap);
-            let got = batch.score_population(&parents, &parent_costs, &children, &descents, &kind);
-            assert_eq!(got, want, "objective {}", kind.label());
-            assert_eq!(batch.evaluations(), children.len() as u64);
-            let stats = batch.scan_stats();
-            assert_eq!(stats.suffix_total, (children.len() * inst.task_count()) as u64);
-            // At minimum the per-parent clones rode the reuse path.
-            assert!(stats.suffixed >= parents.len() as u64);
-            assert!(stats.prefix_reused >= (parents.len() * inst.task_count()) as u64);
-        }
-    }
-
-    #[test]
-    fn score_population_is_stride_and_thread_invariant() {
-        // Exact fitness plus every population counter must be a pure
-        // function of the chromosomes: same bits at any stride (cost
-        // knob) and thread count (work stealing).
-        let inst = random_instance(26, 4, 33);
-        let k = inst.task_count();
-        let snap = EvalSnapshot::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(14);
-        let (parents, children, descents) = population_fixture(&inst, &mut rng, 6);
-        let obj = ObjectiveKind::TotalFlowtime;
-        let mut scalar = Evaluator::new(&inst);
-        let parent_costs: Vec<f64> =
-            parents.iter().map(|s| scalar.objective_value(s, &obj)).collect();
-        let (baseline, base_stats) =
-            rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap().install(|| {
-                let mut batch = BatchEvaluator::new(&snap);
-                let out =
-                    batch.score_population(&parents, &parent_costs, &children, &descents, &obj);
-                (out, batch.scan_stats())
-            });
-        for stride in [Some(1), None, Some(k + 7)] {
-            for threads in [1usize, 2, 8] {
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-                let (got, stats) = pool.install(|| {
-                    let mut batch = BatchEvaluator::new(&snap).with_stride(stride);
-                    let out =
-                        batch.score_population(&parents, &parent_costs, &children, &descents, &obj);
-                    (out, batch.scan_stats())
-                });
-                assert_eq!(got, baseline, "stride {stride:?}, {threads} threads");
-                // Everything but `spliced` (which legitimately varies
-                // with checkpoint placement) is stride-invariant too.
-                assert_eq!(
-                    (stats.scored, stats.suffixed, stats.prefix_reused, stats.suffix_total),
-                    (
-                        base_stats.scored,
-                        base_stats.suffixed,
-                        base_stats.prefix_reused,
-                        base_stats.suffix_total
-                    ),
-                    "stride {stride:?}, {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn score_population_falls_back_for_custom_objectives() {
-        // Without accumulator support lineage children take the full
-        // pass (no prime, no inc scorings); clones still shortcut.
-        struct StartSum;
-        impl Objective for StartSum {
-            fn name(&self) -> &str {
-                "start-sum"
-            }
-            fn value(&self, view: &EvalView<'_>) -> f64 {
-                view.start.iter().sum()
-            }
-        }
-        let inst = random_instance(18, 3, 35);
-        let k = inst.task_count();
-        let snap = EvalSnapshot::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let (parents, children, descents) = population_fixture(&inst, &mut rng, 3);
-        let mut scalar = Evaluator::new(&inst);
-        let parent_costs: Vec<f64> =
-            parents.iter().map(|s| scalar.objective_value(s, &StartSum)).collect();
-        let want: Vec<f64> =
-            children.iter().map(|s| scalar.objective_value(s, &StartSum)).collect();
-        let mut batch = BatchEvaluator::new(&snap);
-        let got = batch.score_population(&parents, &parent_costs, &children, &descents, &StartSum);
-        assert_eq!(got, want);
-        assert_eq!(batch.evaluations(), children.len() as u64);
-        let stats = batch.scan_stats();
-        assert_eq!(stats.scored, 0, "no incremental scorings for a custom objective");
-        assert_eq!(stats.suffixed, parents.len() as u64, "exactly the clones");
-        assert_eq!(stats.prefix_reused, (parents.len() * k) as u64);
-        assert_eq!(stats.suffix_total, (children.len() * k) as u64);
-    }
-
-    #[test]
-    fn population_primes_survive_and_invalidate_across_scans() {
-        // Single-thread pool so one arena serves everything — the
-        // dangerous path: a population prime reused across calls must
-        // yield the same bits, and an interleaved move scan (different
-        // base) must invalidate it rather than inherit it, and vice
-        // versa.
-        let inst = random_instance(20, 3, 37);
-        let g = inst.graph();
-        let snap = EvalSnapshot::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let (parents, children, descents) = population_fixture(&inst, &mut rng, 2);
-        let obj = ObjectiveKind::Makespan;
-        let mut scalar = Evaluator::new(&inst);
-        let parent_costs: Vec<f64> =
-            parents.iter().map(|s| scalar.objective_value(s, &obj)).collect();
-        let want: Vec<f64> = children.iter().map(|s| scalar.objective_value(s, &obj)).collect();
-        let other = random_solution(&inst, &mut rng);
-        let t = TaskId::from_usize(3);
-        let (lo, hi) = other.valid_range(g, t);
-        let moves: Vec<(TaskId, usize, MachineId)> =
-            (lo..=hi).map(|pos| (t, pos, other.machine_of(t))).collect();
-        let move_want: Vec<f64> = moves
-            .iter()
-            .map(|&(t, pos, m)| {
-                let mut cand = other.clone();
-                cand.move_task(g, t, pos, m).unwrap();
-                scalar.objective_value(&cand, &obj)
-            })
-            .collect();
-        rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap().install(|| {
-            let mut batch = BatchEvaluator::new(&snap);
-            assert_eq!(
-                batch.score_population(&parents, &parent_costs, &children, &descents, &obj),
-                want
-            );
-            assert_eq!(batch.score_task_moves(g, &other, &moves, &obj), move_want);
-            assert_eq!(
-                batch.score_population(&parents, &parent_costs, &children, &descents, &obj),
-                want,
-                "population scoring after an interleaved move scan"
-            );
-            assert_eq!(batch.score_task_moves(g, &other, &moves, &obj), move_want);
-        });
-    }
-
-    #[test]
-    fn score_moves_matches_move_then_scalar() {
+    fn single_task_grid_scores_match_move_then_scalar() {
         let inst = random_instance(18, 4, 5);
         let g = inst.graph();
         let snap = EvalSnapshot::new(&inst);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let base = random_solution(&inst, &mut rng);
-        let t = TaskId::new(7);
-        let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|pos| (0..4).map(move |m| (pos, MachineId::new(m)))).collect();
+        let moves = task_grid(g, &base, TaskId::new(7), 4);
         let mut batch = BatchEvaluator::new(&snap);
-        let got = batch.score_moves(g, &base, t, &moves, &ObjectiveKind::Makespan);
+        let got = batch.score_task_moves(g, &base, &moves, &ObjectiveKind::Makespan);
         let mut scalar = Evaluator::new(&inst);
-        for (&(pos, m), &score) in moves.iter().zip(&got) {
+        for (&(t, pos, m), &score) in moves.iter().zip(&got) {
             let mut cand = base.clone();
             cand.move_task(g, t, pos, m).unwrap();
             assert_eq!(scalar.makespan(&cand), score, "move ({pos}, {m})");
@@ -1288,14 +739,11 @@ mod tests {
         let snap = EvalSnapshot::new(&inst);
         let mut rng = ChaCha8Rng::seed_from_u64(22);
         let base = random_solution(&inst, &mut rng);
-        let t = TaskId::new(5);
-        let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).map(|pos| (pos, MachineId::new(0))).collect();
+        let moves = task_grid(g, &base, TaskId::new(5), 1);
         let mut batch = BatchEvaluator::new(&snap);
-        let got = batch.score_moves(g, &base, t, &moves, &StartSum);
+        let got = batch.score_task_moves(g, &base, &moves, &StartSum);
         let mut scalar = Evaluator::new(&inst);
-        for (&(pos, m), &score) in moves.iter().zip(&got) {
+        for (&(t, pos, m), &score) in moves.iter().zip(&got) {
             let mut cand = base.clone();
             cand.move_task(g, t, pos, m).unwrap();
             assert_eq!(scalar.objective_value(&cand, &StartSum), score);
@@ -1313,7 +761,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let base = random_solution(&inst, &mut rng);
         assert_eq!(batch.best_task_move(g, &base, &[], None, 0.0, &ObjectiveKind::Makespan), None);
-        assert_eq!(batch.best_move(g, &base, TaskId::new(0), &[], &ObjectiveKind::Makespan), None);
         assert_eq!(batch.evaluations(), 0);
         assert_eq!(batch.scan_stats(), crate::incremental::ScanStats::default());
     }
@@ -1371,18 +818,15 @@ mod tests {
         let snap = EvalSnapshot::new(&inst);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let base = random_solution(&inst, &mut rng);
-        let t = TaskId::new(4);
-        let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|p| (0..3).map(move |m| (p, MachineId::new(m)))).collect();
+        let moves = task_grid(g, &base, TaskId::new(4), 3);
         let mut batch = BatchEvaluator::new(&snap);
-        let scores = batch.score_moves(g, &base, t, &moves, &StartSum);
+        let scores = batch.score_task_moves(g, &base, &moves, &StartSum);
         let want = scores
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
             .map(|(i, &s)| (i, s));
-        let got = batch.best_move(g, &base, t, &moves, &StartSum);
+        let got = batch.best_task_move(g, &base, &moves, None, f64::INFINITY, &StartSum);
         assert_eq!(got.map(|b| (b.index, b.score)), want);
     }
 
@@ -1420,16 +864,14 @@ mod tests {
         // Batch-level identity: the argmin winner, its score bits and
         // the evaluation count are unchanged by the floor, at any
         // thread count.
-        let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|p| (0..2).map(move |m| (p, MachineId::new(m)))).collect();
+        let moves = task_grid(g, &base, t, 2);
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             let (plain, floored) = pool.install(|| {
                 let mut b0 = BatchEvaluator::new(&snap);
-                let r0 = b0.best_move(g, &base, t, &moves, &obj).unwrap();
+                let r0 = b0.best_task_move(g, &base, &moves, None, 0.0, &obj).unwrap();
                 let mut b1 = BatchEvaluator::new(&snap).with_scan_floor(bound.floor());
-                let r1 = b1.best_move(g, &base, t, &moves, &obj).unwrap();
+                let r1 = b1.best_task_move(g, &base, &moves, None, 0.0, &obj).unwrap();
                 assert_eq!(b0.evaluations(), b1.evaluations());
                 (r0, r1)
             });
@@ -1464,10 +906,7 @@ mod tests {
         let snap = EvalSnapshot::new(&inst);
         let mut rng = ChaCha8Rng::seed_from_u64(51);
         let base = random_solution(&inst, &mut rng);
-        let t = TaskId::new(2);
-        let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|p| (0..3).map(move |m| (p, MachineId::new(m)))).collect();
+        let moves = task_grid(g, &base, TaskId::new(2), 3);
         let obj = ObjectiveKind::Makespan;
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
@@ -1475,16 +914,16 @@ mod tests {
                 let mut batch = BatchEvaluator::new(&snap);
                 // Warm the arena slots, then detonate a contained panic
                 // mid-scan (the portfolio's catch_unwind shape).
-                let want = batch.score_moves(g, &base, t, &moves, &obj);
+                let want = batch.score_task_moves(g, &base, &moves, &obj);
                 let blast = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    batch.score_moves(g, &base, t, &moves, &Grenade)
+                    batch.score_task_moves(g, &base, &moves, &Grenade)
                 }));
                 assert!(blast.is_err(), "objective must panic");
                 // The evaluator must still serve healthy scans, with the
                 // same bits as before the panic.
-                let got = batch.score_moves(g, &base, t, &moves, &obj);
+                let got = batch.score_task_moves(g, &base, &moves, &obj);
                 assert_eq!(got, want, "{threads} threads");
-                assert!(batch.best_move(g, &base, t, &moves, &obj).is_some());
+                assert!(batch.best_task_move(g, &base, &moves, None, 0.0, &obj).is_some());
             });
         }
     }
@@ -1506,12 +945,9 @@ mod tests {
         let mut scalar = Evaluator::new(&inst);
         for round in 0..4 {
             let base = if round % 2 == 0 { &base_a } else { &base_b };
-            let t = TaskId::new(round as u32 + 1);
-            let (lo, hi) = base.valid_range(g, t);
-            let moves: Vec<(usize, MachineId)> =
-                (lo..=hi).flat_map(|p| (0..4).map(move |m| (p, MachineId::new(m)))).collect();
-            let got = batch.score_moves(g, base, t, &moves, &obj);
-            for (&(pos, m), &score) in moves.iter().zip(&got) {
+            let moves = task_grid(g, base, TaskId::new(round as u32 + 1), 4);
+            let got = batch.score_task_moves(g, base, &moves, &obj);
+            for (&(t, pos, m), &score) in moves.iter().zip(&got) {
                 let mut cand = base.clone();
                 cand.move_task(g, t, pos, m).unwrap();
                 assert_eq!(scalar.makespan(&cand), score, "round {round}, move ({pos}, {m})");
@@ -1541,17 +977,14 @@ mod tests {
         let snap = EvalSnapshot::new(&inst);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let base = random_solution(&inst, &mut rng);
-        let t = TaskId::new(6);
-        let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> =
-            (lo..=hi).flat_map(|p| (0..3).map(move |m| (p, MachineId::new(m)))).collect();
+        let moves = task_grid(g, &base, TaskId::new(6), 3);
         let mut batch = BatchEvaluator::new(&snap);
         // Threshold at the median candidate makespan, so roughly half
         // the candidates go NaN.
-        let mut makespans = batch.score_moves(g, &base, t, &moves, &ObjectiveKind::Makespan);
+        let mut makespans = batch.score_task_moves(g, &base, &moves, &ObjectiveKind::Makespan);
         makespans.sort_by(f64::total_cmp);
         let objective = SqrtMargin(makespans[makespans.len() / 2]);
-        let scores = batch.score_moves(g, &base, t, &moves, &objective);
+        let scores = batch.score_task_moves(g, &base, &moves, &objective);
         assert!(scores.iter().any(|s| s.is_nan()), "test needs NaN candidates");
         assert!(scores.iter().any(|s| !s.is_nan()), "test needs finite candidates");
         let want = scores
@@ -1563,7 +996,10 @@ mod tests {
         for threads in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             let got = pool
-                .install(|| BatchEvaluator::new(&snap).best_move(g, &base, t, &moves, &objective))
+                .install(|| {
+                    BatchEvaluator::new(&snap)
+                        .best_task_move(g, &base, &moves, None, 0.0, &objective)
+                })
                 .expect("non-empty grid");
             assert_eq!((got.index, got.score.to_bits()), want, "{threads} threads");
         }

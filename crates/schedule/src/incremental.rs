@@ -114,19 +114,18 @@ pub struct ScanStats {
     pub pruned: u64,
     /// Scorings completed early by a reconvergence splice.
     pub spliced: u64,
-    /// Population children scored through the parent-primed path (exact
-    /// clones and suffix replays; the GA axis). Unlike pruned/spliced
+    /// GA children that reused their parent's cost because they are
+    /// bit-identical to it (clones; the GA axis). Unlike pruned/spliced
     /// diagnostics from bounded scans, the population counters are
     /// deterministic: routing is a pure function of the chromosomes, so
     /// they are bit-identical at any thread count.
     pub suffixed: u64,
-    /// String positions *not* replayed across population scorings: the
-    /// shared parent prefix of each suffix replay, the whole string of
-    /// an exact clone, and any tail cut off by a reconvergence splice.
+    /// String positions *not* evaluated across population scorings: the
+    /// whole string of every clone child.
     pub prefix_reused: u64,
     /// Total string positions across all population children scored
-    /// (children × string length), full-evaluation fallbacks included —
-    /// the denominator of [`Self::prefix_reuse_fraction`].
+    /// (children × string length) — the denominator of
+    /// [`Self::prefix_reuse_fraction`].
     pub suffix_total: u64,
 }
 
@@ -159,8 +158,8 @@ impl ScanStats {
         }
     }
 
-    /// Fraction of population-scoring string positions served from the
-    /// parent's primed prefix instead of being replayed (0 when no
+    /// Fraction of population-scoring string positions served from a
+    /// parent's known cost instead of being evaluated (0 when no
     /// population was scored). Deterministic at any thread count.
     pub fn prefix_reuse_fraction(&self) -> f64 {
         if self.suffix_total == 0 {
@@ -983,161 +982,6 @@ impl<'a> IncrementalEvaluator<'a> {
         dirty.clear();
         MoveScore::Exact(score)
     }
-
-    /// Scores an **arbitrary candidate sharing a string prefix with the
-    /// primed base** — the GA offspring shape: a crossover child is
-    /// parent A's segment string up to the first divergence point, then
-    /// anything at all. Resumes from the nearest checkpoint at or before
-    /// `diverge` and replays only `[diverge, k)`, reading the child's
-    /// own segments; the result is bit-identical to a full
-    /// [`crate::Evaluator::objective_value`] pass over `child`, because
-    /// the replay is the same fold the full pass performs and the
-    /// resumed prefix state is the fold of an *identical* prefix.
-    ///
-    /// Replays may still finish early through the reconvergence splice:
-    /// past the last position where `child` differs from the base, the
-    /// tail is the base's, so the bitwise frontier-match logic of
-    /// [`score_move_bounded`](Self::score_move_bounded) applies
-    /// unchanged. There is **no pruning** on this path — population
-    /// fitness feeds roulette selection, which needs every exact value.
-    ///
-    /// `diverge` is a contract, not a hint: segments `[0, diverge)` of
-    /// `child` must equal the base's (callers compute the first
-    /// differing index; any smaller value is also sound, merely slower).
-    /// Counts as exactly one evaluation.
-    ///
-    /// # Panics
-    /// If the evaluator was never primed, `obj` does not support
-    /// incremental scoring, `child`'s length differs from the base's, or
-    /// `diverge > k`. Debug builds verify the shared-prefix contract.
-    pub fn score_suffix(&mut self, child: &Solution, diverge: usize, obj: &dyn Objective) -> f64 {
-        let IncrementalEvaluator {
-            snap,
-            stride,
-            base,
-            base_finish,
-            ckpt_avail,
-            ckpt_busy,
-            ckpt_max,
-            ckpt_sum,
-            end_state,
-            sfx_max,
-            sfx_sum,
-            sfx_busy,
-            last_consumer,
-            last_use,
-            machine_avail,
-            state,
-            finish,
-            dirty,
-            evaluations,
-            spliced,
-            splicing,
-            splice_ready,
-            ..
-        } = self;
-        let snap = snap.as_ref();
-        let base = base.as_ref().expect("prime() the evaluator first");
-        let k = base.len();
-        let l = snap.machine_count();
-        assert_eq!(child.len(), k, "child/base length mismatch");
-        assert!(diverge <= k, "divergence index out of range");
-        debug_assert!(
-            child.segments()[..diverge] == base.segments()[..diverge],
-            "score_suffix contract: segments before the divergence index must match the base"
-        );
-        *evaluations += 1;
-        obs::add(obs::Counter::ScanScored, 1);
-        crate::faults::eval_tick();
-
-        // Last position where the child differs from the base: beyond it
-        // the tail is the base's, so checkpoint boundaries there are
-        // splice-eligible (frontier match permitting). No difference at
-        // all means the child *is* the base — its score is the primed
-        // end state, no replay needed.
-        let Some(ceiling) = (diverge..k).rev().find(|&i| child.segment_at(i) != base.segment_at(i))
-        else {
-            return obj.finalize(end_state);
-        };
-
-        let ci = diverge / *stride;
-        machine_avail.copy_from_slice(&ckpt_avail[ci * l..(ci + 1) * l]);
-        state.load(ckpt_max[ci], ckpt_sum[ci], ci * *stride, &ckpt_busy[ci * l..(ci + 1) * l]);
-
-        // Fast-forward the shared positions [ci·stride, diverge): the
-        // child's prefix is the base's, so the frontier folds from the
-        // stored base finish times without touching predecessor lists.
-        for seg in &base.segments()[ci * *stride..diverge] {
-            let (u, mu) = (seg.task, seg.machine);
-            let f = base_finish[u.index()];
-            machine_avail[mu.index()] = f;
-            state.fold(mu, f, snap.exec_time(mu, u));
-        }
-
-        // Latest base position of a consumer reading a timing or
-        // transfer this replay perturbed; splicing must wait until the
-        // replay has passed it. Tail consumers sit at the same positions
-        // in child and base (the tail is shared), so base indexing is
-        // exact where it matters.
-        let mut horizon = 0usize;
-
-        for i in diverge..k {
-            if i > ceiling && i % *stride == 0 {
-                let c = i / *stride;
-                let frontier_ok = *splicing
-                    && *splice_ready
-                    && horizon < i
-                    && machine_avail
-                        .iter()
-                        .zip(&ckpt_avail[c * l..(c + 1) * l])
-                        .zip(last_use.iter())
-                        .all(|((now, then), &used)| used <= i as u32 || now == then);
-                if frontier_ok {
-                    let suffix = SuffixView {
-                        max_finish: sfx_max[c],
-                        finish_sum: sfx_sum[c],
-                        machine_busy: &sfx_busy[c * l..(c + 1) * l],
-                        tasks: k - i,
-                    };
-                    let score = obj.splice(state, &suffix).or_else(|| {
-                        state
-                            .matches(ckpt_max[c], ckpt_sum[c], i, &ckpt_busy[c * l..(c + 1) * l])
-                            .then(|| obj.finalize(end_state))
-                    });
-                    if let Some(score) = score {
-                        *spliced += 1;
-                        obs::add(obs::Counter::ScanSpliced, 1);
-                        for &u in dirty.iter() {
-                            finish[u as usize] = base_finish[u as usize];
-                        }
-                        dirty.clear();
-                        return score;
-                    }
-                }
-            }
-            let seg = child.segment_at(i);
-            let (u, mu) = (seg.task, seg.machine);
-            let exec = snap.exec_time(mu, u);
-            let (_, f) =
-                snap.schedule_step(u, mu, exec, |src| child.machine_of(src), finish, machine_avail);
-            finish[u.index()] = f;
-            dirty.push(u.raw());
-            machine_avail[mu.index()] = f;
-            state.fold(mu, f, exec);
-            // A changed finish perturbs the timing consumers read; a
-            // changed machine perturbs every transfer out of `u` even if
-            // the finish time is bit-identical.
-            if f != base_finish[u.index()] || mu != base.machine_of(u) {
-                horizon = horizon.max(last_consumer[u.index()] as usize);
-            }
-        }
-        let score = obj.finalize(state);
-        for &u in dirty.iter() {
-            finish[u as usize] = base_finish[u as usize];
-        }
-        dirty.clear();
-        score
-    }
 }
 
 #[cfg(test)]
@@ -1459,133 +1303,6 @@ mod tests {
         assert_eq!(a.suffixed, 4);
         assert_eq!(a.prefix_reuse_fraction(), 60.0 / 160.0);
         assert_eq!(ScanStats::default().prefix_reuse_fraction(), 0.0);
-    }
-
-    /// First string position where two equal-length solutions differ
-    /// (`k` when identical) — the divergence index GA hands to
-    /// `score_suffix`.
-    fn first_divergence(a: &Solution, b: &Solution) -> usize {
-        a.segments().iter().zip(b.segments()).position(|(x, y)| x != y).unwrap_or(a.len())
-    }
-
-    #[test]
-    fn score_suffix_matches_full_eval_for_multi_move_children() {
-        // Children built by stacking several random moves on the base —
-        // crossover-offspring shape: shared prefix, arbitrary tail.
-        let inst = random_instance(26, 4, 41);
-        let g = inst.graph();
-        let k = inst.task_count();
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let mut scalar = Evaluator::new(&inst);
-        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
-        for stride in [Some(1), Some(3), None, Some(k + 5)] {
-            let base = random_solution(&inst, &mut rng);
-            let mut inc = IncrementalEvaluator::new(&inst);
-            inc.set_stride(stride);
-            inc.set_pruning(false);
-            inc.prime(&base);
-            for _ in 0..25 {
-                let mut child = base.clone();
-                for _ in 0..rng.gen_range(1..5) {
-                    let t = TaskId::new(rng.gen_range(0..k as u32));
-                    let (lo, hi) = child.valid_range(g, t);
-                    let pos = rng.gen_range(lo..=hi);
-                    let m = MachineId::new(rng.gen_range(0..4));
-                    child.move_task(g, t, pos, m).unwrap();
-                }
-                let d = first_divergence(&base, &child);
-                for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
-                    let truth = scalar.objective_value(&child, &kind);
-                    assert_eq!(
-                        inc.score_suffix(&child, d, &kind),
-                        truth,
-                        "{} stride {stride:?} diverge {d}",
-                        kind.label()
-                    );
-                    // Any looser (smaller) divergence index is equally
-                    // exact — `diverge` is a resume hint bounded by the
-                    // true first difference, not a required tight value.
-                    let loose = d / 2;
-                    assert_eq!(inc.score_suffix(&child, loose, &kind), truth);
-                    assert_eq!(inc.score_suffix(&child, 0, &kind), truth);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn score_suffix_of_identical_child_is_the_base_score() {
-        let inst = random_instance(20, 3, 44);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let base = random_solution(&inst, &mut rng);
-        let mut inc = IncrementalEvaluator::new(&inst);
-        inc.prime(&base);
-        let child = base.clone();
-        for kind in ObjectiveKind::BASIC {
-            assert_eq!(inc.score_suffix(&child, base.len(), &kind), inc.base_score(&kind));
-            // A loose divergence index on an identical child short-cuts
-            // to the primed end state without replaying anything.
-            assert_eq!(inc.score_suffix(&child, 0, &kind), inc.base_score(&kind));
-        }
-        assert_eq!(inc.evaluations(), 8, "every suffix scoring counts once");
-    }
-
-    #[test]
-    fn score_suffix_splices_when_the_tail_reconverges() {
-        // Swap two adjacent, dependency-free tasks on *different*
-        // machines: the string differs at two positions but every
-        // per-machine order — and therefore every timing — is
-        // unchanged, so the replay's frontier bitwise re-converges at
-        // the next checkpoint boundary and the tail is spliced.
-        let inst = random_instance(30, 4, 19);
-        let g = inst.graph();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let base = random_solution(&inst, &mut rng);
-        let swap_pos = (0..base.len() - 1)
-            .find(|&p| {
-                let (a, b) = (base.segment_at(p), base.segment_at(p + 1));
-                a.machine != b.machine && !g.predecessors(b.task).any(|s| s == a.task)
-            })
-            .expect("a random 30-task/4-machine string has an adjacent cross-machine pair");
-        let t = base.segment_at(swap_pos).task;
-        let mut child = base.clone();
-        child.move_task(g, t, swap_pos + 1, base.machine_of(t)).unwrap();
-        assert_eq!(first_divergence(&base, &child), swap_pos);
-        // Makespan folds through an order-insensitive max, so the
-        // frontier *and* accumulators bitwise match the base at the next
-        // boundary and the suffix aggregates are spliced in. Sum-based
-        // objectives fold `finish_sum` in string order — the swap
-        // reorders two additions, so their accumulators legitimately
-        // differ and the splice correctly declines; exactness holds
-        // either way.
-        let mut scalar = Evaluator::new(&inst);
-        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
-        for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
-            let mut inc = IncrementalEvaluator::new(&inst);
-            inc.set_stride(Some(2));
-            inc.set_pruning(false);
-            inc.prime(&base);
-            let score = inc.score_suffix(&child, swap_pos, &kind);
-            assert_eq!(score, scalar.objective_value(&child, &kind), "{}", kind.label());
-            if matches!(kind, ObjectiveKind::Makespan) {
-                assert_eq!(score, inc.base_score(&kind), "timings unchanged");
-                assert_eq!(inc.stats().spliced, 1, "reconverged tail must splice");
-                // Splicing off: same bits, no splice.
-                inc.set_splicing(false);
-                assert_eq!(inc.score_suffix(&child, swap_pos, &kind), score);
-                assert_eq!(inc.stats().spliced, 1, "splicing disabled");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "prime()")]
-    fn score_suffix_requires_priming() {
-        let inst = random_instance(6, 2, 10);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let sol = random_solution(&inst, &mut rng);
-        let mut inc = IncrementalEvaluator::new(&inst);
-        let _ = inc.score_suffix(&sol, 0, &ObjectiveKind::Makespan);
     }
 
     #[test]

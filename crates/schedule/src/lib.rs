@@ -30,34 +30,26 @@
 //!    whole solutions with no shared lineage.
 //! 3. **incremental** — [`IncrementalEvaluator`]: primes a base solution
 //!    once, checkpoints frontier state every `⌈√k⌉` positions, and scores
-//!    candidates sharing a prefix with the base by replaying only the
-//!    disturbed suffix — exact (bit-identical to a full pass),
-//!    asymptotically cheaper than tier 1 per candidate. Two entry
-//!    shapes: *single-task moves*
-//!    ([`score_move`](IncrementalEvaluator::score_move)) for move scans
-//!    against a fixed base — SE's allocation ripple, tabu's sampled
-//!    neighborhood, SA's proposal loop — and *arbitrary
-//!    prefix-sharing candidates*
-//!    ([`score_suffix`](IncrementalEvaluator::score_suffix)) for GA
-//!    crossover offspring, which share a literal prefix with a parent
-//!    up to their first divergence. The batch move-scoring and
-//!    population-scoring ([`score_population`](BatchEvaluator::score_population))
-//!    entry points route through per-thread incremental evaluators
-//!    automatically, so tiers 2 and 3 compose: GA rides tier 3 like
-//!    every other algorithm in the portfolio.
+//!    single-task moves of the base
+//!    ([`score_move`](IncrementalEvaluator::score_move)) by replaying
+//!    only the disturbed suffix — exact (bit-identical to a full pass),
+//!    asymptotically cheaper than tier 1 per candidate. This is the
+//!    shape of SE's allocation ripple, tabu's sampled neighborhood and
+//!    SA's proposal loop. The batch move entry points
+//!    ([`score_task_moves`](BatchEvaluator::score_task_moves),
+//!    [`best_task_move`](BatchEvaluator::best_task_move)) route through
+//!    per-thread incremental evaluators automatically, so tiers 2 and 3
+//!    compose.
 //!
-//! *Why suffix replay cannot change fitness bits*: the replay starts
+//! *Why suffix replay cannot change a score's bits*: the replay starts
 //! from checkpointed frontier state reached by walking exactly the
-//! shared prefix (identical segments ⇒ identical floating-point state,
-//! since the walk is deterministic and order-preserving), then replays
-//! the child's own segments one by one with the same fold a full pass
-//! would apply. No value is approximated, reordered, or recomputed
-//! along a different association order, so every intermediate — and
-//! hence the final objective value — is the same IEEE-754 bit pattern
-//! the scalar evaluator produces. Selection pressure in roulette-style
-//! algorithms depends on exact fitness values, which is why the
-//! population path never engages bound pruning: every child gets its
-//! exact score.
+//! unchanged prefix (identical segments ⇒ identical floating-point
+//! state, since the walk is deterministic and order-preserving), then
+//! replays the mutated string's segments one by one with the same fold a
+//! full pass would apply. No value is approximated, reordered, or
+//! recomputed along a different association order, so every
+//! intermediate — and hence the final objective value — is the same
+//! IEEE-754 bit pattern the scalar evaluator produces.
 //!
 //! Tier 3's **fast path** cuts the replay itself two ways, both exact:
 //!
@@ -132,7 +124,7 @@ pub mod sim;
 pub mod snapshot;
 pub mod steppable;
 
-pub use batch::{BatchEvaluator, BestMove, Descent};
+pub use batch::{BatchEvaluator, BestMove};
 pub use encoding::{Segment, Solution};
 pub use error::ScheduleError;
 pub use eval::{Evaluator, ScheduleReport};

@@ -148,13 +148,6 @@ pub struct RunBudget {
     /// a different solution or objective value; runs that never reach
     /// the floor are bit-identical either way.
     pub early_stop: bool,
-    /// Forces the GA back onto full tier-1 population evaluation instead
-    /// of parent-primed prefix splicing (default `false`; the CLI's
-    /// `--ga-full-eval` escape hatch turns it on). Another pure cost
-    /// knob: splicing replays the exact fold a full pass would, so
-    /// solutions, fitness values and evaluation counts are bit-identical
-    /// either way.
-    pub ga_full_eval: bool,
     /// *Deterministic* deadline: stop once this many full evaluations
     /// have been performed, reporting [`Termination::Deadline`]. Unlike
     /// `max_evaluations` (a budget), a deadline models an external
@@ -184,7 +177,6 @@ impl Default for RunBudget {
             checkpoint_stride: None,
             prune: true,
             early_stop: true,
-            ga_full_eval: false,
             deadline_evals: None,
             deadline_wall: None,
             cancel: None,
@@ -238,13 +230,6 @@ impl RunBudget {
     /// (default: on).
     pub fn with_early_stop(mut self, early_stop: bool) -> RunBudget {
         self.early_stop = early_stop;
-        self
-    }
-
-    /// Forces full tier-1 GA population evaluation (default: off, i.e.
-    /// parent-primed prefix splicing on).
-    pub fn with_ga_full_eval(mut self, ga_full_eval: bool) -> RunBudget {
-        self.ga_full_eval = ga_full_eval;
         self
     }
 
@@ -510,8 +495,6 @@ mod tests {
         let b = RunBudget::iterations(5).with_checkpoint_stride(Some(7));
         assert_eq!(b.checkpoint_stride, Some(7));
         assert_eq!(RunBudget::default().checkpoint_stride, None);
-        assert!(!RunBudget::default().ga_full_eval, "splicing is the default");
-        assert!(RunBudget::iterations(5).with_ga_full_eval(true).ga_full_eval);
     }
 
     #[test]

@@ -368,17 +368,19 @@ proptest! {
         // exact scores, index tie-break included.
         let t = moves[0].0;
         let (lo, hi) = base.valid_range(g, t);
-        let grid: Vec<(usize, MachineId)> = (lo..=hi)
-            .flat_map(|p| (0..inst.machine_count() as u32).map(move |m| (p, MachineId::new(m))))
+        let grid: Vec<(TaskId, usize, MachineId)> = (lo..=hi)
+            .flat_map(|p| (0..inst.machine_count() as u32).map(move |m| (t, p, MachineId::new(m))))
             .collect();
-        let grid_scores = BatchEvaluator::new(&snap).score_moves(g, &base, t, &grid, &kind);
+        let grid_scores = BatchEvaluator::new(&snap).score_task_moves(g, &base, &grid, &kind);
         let want = grid_scores
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
             .map(|(i, &s)| (i, s));
         let got = pool.install(|| {
-            BatchEvaluator::new(&snap).with_stride(stride).best_move(g, &base, t, &grid, &kind)
+            BatchEvaluator::new(&snap)
+                .with_stride(stride)
+                .best_task_move(g, &base, &grid, None, 0.0, &kind)
         });
         prop_assert_eq!(got.map(|b| (b.index, b.score)), want, "grid scan");
     }
@@ -467,68 +469,5 @@ proptest! {
         let junk = ["x", "nan", "inf", "1.0.0"][junk_pick];
         let with_junk = format!("weighted:1,{junk},3");
         prop_assert!(with_junk.parse::<ObjectiveKind>().is_err());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// `score_suffix` is bit-identical to a scalar full pass for every
-    /// objective, on arbitrary children built by stacking random moves
-    /// on the primed base, with any divergence index at or below the
-    /// true first divergence, at every checkpoint stride.
-    #[test]
-    fn score_suffix_equals_full_reevaluation(
-        inst in instance_strategy(),
-        seed in any::<u64>(),
-        stride_sel in 0usize..5,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let g = inst.graph();
-        let k = inst.task_count();
-        let base = random_solution(&inst, &mut rng);
-        let stride = match stride_sel {
-            0 => Some(1),
-            1 => Some(2),
-            2 => Some((k / 2).max(1)),
-            3 => Some(k + 7), // beyond k: degenerates to replay-from-zero
-            _ => None,        // auto ⌈√k⌉
-        };
-        let snap = EvalSnapshot::new(&inst);
-        let mut inc = IncrementalEvaluator::with_snapshot(&snap);
-        inc.set_stride(stride);
-        inc.set_pruning(false);
-        inc.prime(&base);
-        let mut scalar = Evaluator::new(&inst);
-        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.4, balance: 0.6 };
-        for round in 0..8 {
-            // Children at increasing distance from the base, including
-            // the identical child (divergence k).
-            let mut child = base.clone();
-            for _ in 0..round {
-                let t = TaskId::new(rng.gen_range(0..k as u32));
-                let (lo, hi) = child.valid_range(g, t);
-                let pos = rng.gen_range(lo..=hi);
-                let m = MachineId::new(rng.gen_range(0..inst.machine_count() as u32));
-                child.move_task(g, t, pos, m).unwrap();
-            }
-            let diverge = base
-                .segments()
-                .iter()
-                .zip(child.segments())
-                .position(|(a, b)| a != b)
-                .unwrap_or(k);
-            for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
-                let slow = scalar.objective_value(&child, &kind);
-                // The exact divergence index and any sound (smaller)
-                // one must agree with the full pass bit for bit.
-                for d in [diverge, diverge / 2, 0] {
-                    prop_assert_eq!(
-                        inc.score_suffix(&child, d, &kind), slow,
-                        "{} stride {:?} diverge {} (true {})", kind.name(), stride, d, diverge
-                    );
-                }
-            }
-        }
     }
 }

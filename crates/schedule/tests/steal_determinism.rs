@@ -169,8 +169,8 @@ proptest! {
         let base = random_solution(&inst, &mut rng);
         let t = TaskId::new(rng.gen_range(0..tasks as u32));
         let (lo, hi) = base.valid_range(g, t);
-        let moves: Vec<(usize, MachineId)> = (lo..=hi)
-            .flat_map(|p| (0..machines as u32).map(move |m| (p, MachineId::new(m))))
+        let moves: Vec<(TaskId, usize, MachineId)> = (lo..=hi)
+            .flat_map(|p| (0..machines as u32).map(move |m| (t, p, MachineId::new(m))))
             .collect();
         let obj = JitteredMakespan { salt };
 
@@ -179,11 +179,11 @@ proptest! {
             pool.install(|| {
                 let mut batch = BatchEvaluator::new(&snap);
                 let scores: Vec<u64> = batch
-                    .score_moves(g, &base, t, &moves, &obj)
+                    .score_task_moves(g, &base, &moves, &obj)
                     .into_iter()
                     .map(f64::to_bits)
                     .collect();
-                let best = batch.best_move(g, &base, t, &moves, &obj);
+                let best = batch.best_task_move(g, &base, &moves, None, 0.0, &obj);
                 (scores, best.map(|b| (b.index, b.score.to_bits())), batch.evaluations())
             })
         };
@@ -197,7 +197,7 @@ proptest! {
         // And the jittered objective really is the makespan.
         let mut scalar = Evaluator::new(&inst);
         let mut cand: Solution = base.clone();
-        let (pos, m) = moves[0];
+        let (_, pos, m) = moves[0];
         cand.move_task(g, t, pos, m).unwrap();
         prop_assert_eq!(scalar.makespan(&cand).to_bits(), baseline.0[0]);
     }
