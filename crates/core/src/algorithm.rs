@@ -5,7 +5,7 @@ use crate::goodness::{goodness, optimal_costs};
 use mshc_obs as obs;
 use mshc_platform::{HcInstance, MachineId};
 use mshc_schedule::{
-    certified_gap, next_up, run_stepped, EvalSnapshot, Evaluator, IncrementalEvaluator, Incumbent,
+    certified_gap, run_stepped, EvalSnapshot, Evaluator, IncrementalEvaluator, Incumbent,
     InstanceBound, MoveScore, Objective, ObjectiveKind, RunBudget, RunResult, ScanStats,
     ScheduleReport, Scheduler, SearchStep, Solution, StepVerdict, SteppableSearch,
 };
@@ -91,9 +91,8 @@ impl SteppableSearch for SeScheduler {
         let snapshot = EvalSnapshot::new(inst);
 
         // Certified instance floor (makespan only): drives the scan-
-        // global cutoff, the bound-aware allocation order and early
-        // termination. Computed once; consumes no RNG, counts no
-        // evaluations.
+        // global cutoff and early termination. Computed once; consumes
+        // no RNG, counts no evaluations.
         let bound = objective.is_makespan().then(|| InstanceBound::compute(inst));
 
         // ---- initial solution (§4.2) ----
@@ -243,7 +242,6 @@ impl SearchStep for SeState<'_> {
                     &self.allowed[t.index()],
                     &self.cfg,
                     self.objective,
-                    self.bound.as_ref(),
                 );
             }
 
@@ -417,20 +415,19 @@ impl SteppableSearch for SePendingBias {
 ///   compare against, and the only route for custom non-incremental
 ///   objectives).
 ///
-/// Both scans are serial: [`AllocationStrategy::FirstImprovement`] is
-/// inherently sequential (the commit depends on scan order cutting the
-/// scan short), and the best-fit scan threads one running pruning bound
-/// through the whole grid.
+/// The scan is serial and position-major:
+/// [`AllocationStrategy::FirstImprovement`] is inherently sequential (the
+/// commit depends on scan order cutting the scan short), and the running
+/// best rides along as the pruning bound of every incremental scoring.
 ///
-/// Under the makespan objective the incremental best-fit scan is
-/// additionally *bound-aware*: machines are visited in ascending order
-/// of the candidate's certified placement floor (the tightest lower
-/// bound [`InstanceBound`] can state for "`t` runs on `m`"), so the
-/// running best drops fast and later candidates are pruned earlier.
-/// The committed argmin is the original pos-major earliest-index
-/// minimum regardless of visit order: the scan tracks each candidate's
-/// original grid index, breaks score ties toward the smaller index, and
-/// widens the pruning bound by one ULP while a tie could still win.
+/// Under the makespan objective the incremental route first primes the
+/// *relocation floor* of `t`: the makespan of the solution with `t` left
+/// out ([`IncrementalEvaluator::prime_relocation_floor`]). Every
+/// candidate inserts `t` into that string, which can only delay other
+/// tasks, so no candidate scores below it; once the running best reaches
+/// it — typically at the first candidate that keeps the makespan — every
+/// later candidate prunes without a replay. The floor is an uncounted
+/// pass and never changes a commit or an evaluation count.
 #[allow(clippy::too_many_arguments)]
 fn allocate(
     sol: &mut Solution,
@@ -441,7 +438,6 @@ fn allocate(
     machines: &[MachineId],
     cfg: &SeConfig,
     objective: ObjectiveKind,
-    bound: Option<&InstanceBound>,
 ) {
     let g = inst.graph();
     let (lo, hi) = sol.valid_range(g, t);
@@ -464,6 +460,9 @@ fn allocate(
     // the flag settings under a max_evaluations budget.
     let current_cost = if use_incremental {
         inc.prime(sol);
+        if objective.is_makespan() {
+            inc.prime_relocation_floor(t);
+        }
         eval.bump_evaluations(2);
         inc.base_score(&objective)
     } else {
@@ -473,54 +472,6 @@ fn allocate(
     let mut best_m = orig_m;
     let mut best_cost = f64::INFINITY;
 
-    if use_incremental && cfg.allocation == AllocationStrategy::BestFit {
-        // Bound-aware serial scan. Machine-major, machines ordered by
-        // ascending certified placement floor (original rank breaks
-        // floor ties, and is the order outright when no bound exists —
-        // non-makespan objectives). The argmin is forced back onto the
-        // original pos-major axis through the grid index: a later-
-        // visited candidate replaces the best only on a strictly better
-        // score or an equal score at a smaller grid index, and while a
-        // tie could still win the pruning bound is one ULP above the
-        // best so the tie is never pruned away. Bit-identical
-        // selections and evaluation counts to the natural-order scan.
-        let width = machines.len();
-        let mut order: Vec<usize> = (0..width).collect();
-        if let Some(b) = bound {
-            let sys = inst.system();
-            order.sort_by(|&i, &j| {
-                let fi = b.placement_floor(t, sys.exec_time(machines[i], t));
-                let fj = b.placement_floor(t, sys.exec_time(machines[j], t));
-                fi.total_cmp(&fj).then(i.cmp(&j))
-            });
-        }
-        let mut best_grid = usize::MAX;
-        for &rank in &order {
-            let m = machines[rank];
-            for pos in lo..=hi {
-                if pos == orig_pos && m == orig_m {
-                    continue; // relocation is mandatory
-                }
-                let grid = (pos - lo) * width + rank;
-                eval.bump_evaluations(1);
-                let cut = if grid < best_grid { next_up(best_cost) } else { best_cost };
-                match inc.score_move_bounded(t, pos, m, cut, &objective) {
-                    MoveScore::Exact(cost) => {
-                        if cost < best_cost || (cost == best_cost && grid < best_grid) {
-                            best_cost = cost;
-                            best_grid = grid;
-                            best_pos = pos;
-                            best_m = m;
-                        }
-                    }
-                    MoveScore::Pruned => {}
-                }
-            }
-        }
-        sol.move_task(g, t, best_pos, best_m).expect("committing the best candidate");
-        return;
-    }
-
     'search: for pos in lo..=hi {
         for &m in machines {
             if pos == orig_pos && m == orig_m {
@@ -529,7 +480,7 @@ fn allocate(
             let cost = if use_incremental {
                 eval.bump_evaluations(1);
                 // The running best rides along as the pruning bound: a
-                // pruned candidate is provably above `best_cost`, so the
+                // pruned candidate is provably at or above `best_cost`, so the
                 // sequential scan would have rejected it (and, being no
                 // new best, never first-improvement-breaks on it) —
                 // skipping is behavior-identical.
@@ -703,38 +654,94 @@ mod tests {
         );
     }
 
+    /// The bit-identity grid: a small random instance and a
+    /// high-connectivity 100×20 paper-size instance, under both
+    /// allocation strategies and every objective kind. Mean flowtime
+    /// sits below every makespan, so a relocation floor leaking into a
+    /// non-makespan scan would prune every candidate after the first
+    /// and move the commit.
+    fn bit_identity_grid() -> Vec<(String, HcInstance, u64, SeConfig, ObjectiveKind)> {
+        use mshc_workloads::{Connectivity, WorkloadSpec};
+        let paper = WorkloadSpec::large(7).with_connectivity(Connectivity::High).generate();
+        let weighted = ObjectiveKind::Weighted { makespan: 1.0, flowtime: 0.3, balance: 0.7 };
+        let mut grid = Vec::new();
+        for (inst, iters) in [(random_instance(24, 4, 51), 15), (paper, 3)] {
+            for allocation in [AllocationStrategy::BestFit, AllocationStrategy::FirstImprovement] {
+                for kind in ObjectiveKind::BASIC.into_iter().chain([weighted]) {
+                    let cfg = SeConfig { seed: 9, allocation, ..Default::default() };
+                    let (k, l) = (inst.task_count(), inst.machine_count());
+                    let what = format!("{k}x{l} {allocation:?} {}", kind.label());
+                    grid.push((what, inst.clone(), iters, cfg, kind));
+                }
+            }
+        }
+        grid
+    }
+
+    fn traced_run(inst: &HcInstance, cfg: SeConfig, budget: &RunBudget) -> (RunResult, Trace) {
+        let mut trace = Trace::new();
+        let r = SeScheduler::new(cfg).run(inst, budget, Some(&mut trace));
+        (r, trace)
+    }
+
+    /// Asserts two runs made the same decisions: solution, objective
+    /// bits and per-iteration costs and selections.
+    fn assert_same_decisions(a: &(RunResult, Trace), b: &(RunResult, Trace), what: &str) {
+        assert_eq!(a.0.solution, b.0.solution, "{what}");
+        assert_eq!(a.0.objective_value.to_bits(), b.0.objective_value.to_bits(), "{what}");
+        assert_eq!(a.0.makespan.to_bits(), b.0.makespan.to_bits(), "{what}");
+        assert_eq!(a.0.iterations, b.0.iterations, "{what}");
+        assert_eq!(a.1.len(), b.1.len(), "{what}");
+        for (x, y) in a.1.records().iter().zip(b.1.records()) {
+            assert_eq!(x.iteration, y.iteration, "{what}");
+            assert_eq!(x.current_cost.to_bits(), y.current_cost.to_bits(), "{what}");
+            assert_eq!(x.best_cost.to_bits(), y.best_cost.to_bits(), "{what}");
+            assert_eq!(x.selected, y.selected, "{what}");
+        }
+    }
+
     #[test]
     fn no_prune_runs_are_bit_identical() {
-        // The bounded/spliced fast path is a pure cost knob: whole SE
-        // runs match with it off, solutions and evaluation counts
-        // included.
-        let inst = random_instance(24, 4, 51);
-        let cfg = SeConfig { seed: 9, ..Default::default() };
-        let on = SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(15), None);
-        let off =
-            SeScheduler::new(cfg).run(&inst, &RunBudget::iterations(15).with_prune(false), None);
-        assert_eq!(on.solution, off.solution);
-        assert_eq!(on.makespan, off.makespan);
-        assert_eq!(on.evaluations, off.evaluations, "evaluation-count contract");
-        assert!(on.scan.pruned > 0, "the fast path prunes by default");
-        assert_eq!(off.scan.pruned, 0, "no-prune must not prune");
-        assert_eq!(off.scan.spliced, 0, "no-prune must not splice");
+        // The bounded/spliced fast path and the relocation floor are
+        // pure cost knobs: whole SE runs match with them off, solutions,
+        // objective bits, evaluation counts and traces included.
+        for (what, inst, iters, cfg, kind) in bit_identity_grid() {
+            let budget = RunBudget::iterations(iters).with_objective(kind);
+            let on = traced_run(&inst, cfg, &budget);
+            let off = traced_run(&inst, cfg, &budget.clone().with_prune(false));
+            assert_same_decisions(&on, &off, &what);
+            assert_eq!(on.0.evaluations, off.0.evaluations, "evaluation-count contract: {what}");
+            for (x, y) in on.1.records().iter().zip(off.1.records()) {
+                assert_eq!(x.evaluations, y.evaluations, "{what}");
+            }
+            if kind.is_makespan() {
+                assert!(on.0.scan.pruned > 0, "the fast path prunes by default: {what}");
+            }
+            assert_eq!(off.0.scan.pruned, 0, "no-prune must not prune: {what}");
+            assert_eq!(off.0.scan.spliced, 0, "no-prune must not splice: {what}");
+        }
     }
 
     #[test]
     fn incremental_eval_matches_full_eval_runs() {
-        // The suffix-checkpoint fast path must not change a single
-        // decision: whole runs are bit-identical with the flag on/off.
-        for seed in [3u64, 17, 91] {
-            let inst = random_instance(22, 4, seed);
-            let fast =
-                SeScheduler::new(SeConfig { seed, incremental_eval: true, ..Default::default() })
-                    .run(&inst, &RunBudget::iterations(20), None);
-            let slow =
-                SeScheduler::new(SeConfig { seed, incremental_eval: false, ..Default::default() })
-                    .run(&inst, &RunBudget::iterations(20), None);
-            assert_eq!(fast.solution, slow.solution, "seed {seed}");
-            assert_eq!(fast.makespan, slow.makespan);
+        // The incremental route (suffix replay, pruning, relocation
+        // floor) must not change a single decision against full passes.
+        // Its counts differ by design: it charges one more evaluation
+        // per allocation that scans (the prime), so per iteration the
+        // excess lies between 0 and the selected count.
+        for (what, inst, iters, cfg, kind) in bit_identity_grid() {
+            let budget = RunBudget::iterations(iters).with_objective(kind);
+            let fast = traced_run(&inst, SeConfig { incremental_eval: true, ..cfg }, &budget);
+            let slow = traced_run(&inst, SeConfig { incremental_eval: false, ..cfg }, &budget);
+            assert_same_decisions(&fast, &slow, &what);
+            let (mut fast_prev, mut slow_prev) = (0, 0);
+            for (x, y) in fast.1.records().iter().zip(slow.1.records()) {
+                let excess = (x.evaluations - fast_prev)
+                    .checked_sub(y.evaluations - slow_prev)
+                    .expect("the incremental route never charges less");
+                assert!(excess <= u64::from(x.selected.unwrap()), "{what}: excess {excess}");
+                (fast_prev, slow_prev) = (x.evaluations, y.evaluations);
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Typed errors for platform construction.
 
+use serde::{Deserialize, Error, Value};
 use std::fmt;
 
 /// Errors produced when assembling an [`crate::HcSystem`] or
@@ -69,6 +70,39 @@ impl fmt::Display for PlatformError {
 }
 
 impl std::error::Error for PlatformError {}
+
+impl PlatformError {
+    /// The [`crate::HcSystem`] field the error is about, as named in the
+    /// serialized form.
+    pub(crate) fn field(&self) -> &'static str {
+        match self {
+            PlatformError::NoMachines => "machines",
+            PlatformError::TransferShape { .. }
+            | PlatformError::InvalidCost { matrix: "Tr", .. } => "transfer",
+            _ => "exec",
+        }
+    }
+}
+
+/// Deserializes field `name` of the struct map `v` (a `target`), naming
+/// the field in any error it raises.
+pub(crate) fn de_field<T: Deserialize>(v: &Value, target: &str, name: &str) -> Result<T, Error> {
+    if v.as_map().is_none() {
+        return Err(Error::expected("map", target, v));
+    }
+    let field = v.get_field(name).ok_or_else(|| Error::missing_field(target, name))?;
+    T::deserialize(field).map_err(|e| in_field(name, e))
+}
+
+/// Prefixes an error with the field it came from: `name: msg`, or the
+/// dotted path `name.inner: msg` when `msg` already names a field.
+pub(crate) fn in_field(name: &str, e: impl fmt::Display) -> Error {
+    let msg = e.to_string();
+    let nested = msg.split_once(": ").is_some_and(|(head, _)| {
+        !head.is_empty() && head.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
+    });
+    Error::custom(if nested { format!("{name}.{msg}") } else { format!("{name}: {msg}") })
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,19 +1,28 @@
 //! The complete MSHC problem instance: a task graph plus the HC system it
 //! runs on.
 
-use crate::error::PlatformError;
+use crate::error::{de_field, in_field, PlatformError};
 use crate::system::HcSystem;
 use mshc_taskgraph::TaskGraph;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A matched pair of application DAG and HC system — everything a
 /// scheduler needs. Construction checks that the system's matrix
 /// dimensions agree with the graph's task/data counts, so downstream code
-/// can index freely.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// can index freely. Deserialization validates the graph, the system and
+/// their agreement the same way.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HcInstance {
     graph: TaskGraph,
     system: HcSystem,
+}
+
+impl Deserialize for HcInstance {
+    fn deserialize(v: &Value) -> Result<HcInstance, serde::Error> {
+        let graph = de_field(v, "HcInstance", "graph")?;
+        let system = de_field(v, "HcInstance", "system")?;
+        HcInstance::new(graph, system).map_err(|e| in_field("system", in_field(e.field(), e)))
+    }
 }
 
 impl HcInstance {

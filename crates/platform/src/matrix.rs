@@ -5,15 +5,34 @@
 //! inner loop — so they live in a single boxed slice (perf-book: one
 //! allocation, no pointer chasing, row-contiguous access).
 
-use serde::{Deserialize, Serialize};
+use crate::error::de_field;
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A dense row-major matrix of `f64`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization checks that `data` holds exactly `rows × cols`
+/// entries.
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Box<[f64]>,
+}
+
+impl Deserialize for Matrix {
+    fn deserialize(v: &Value) -> Result<Matrix, serde::Error> {
+        let rows: usize = de_field(v, "Matrix", "rows")?;
+        let cols: usize = de_field(v, "Matrix", "cols")?;
+        let data: Vec<f64> = de_field(v, "Matrix", "data")?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::Error::custom(format!(
+                "data: {} entries for a {rows} x {cols} matrix",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data: data.into_boxed_slice() })
+    }
 }
 
 impl Matrix {

@@ -1,11 +1,11 @@
 //! The validated HC system: machines + `E` + `Tr`.
 
-use crate::error::PlatformError;
+use crate::error::{de_field, in_field, PlatformError};
 use crate::machine::{ArchClass, Machine, MachineId};
 use crate::matrix::Matrix;
 use crate::pair::{pair_count, pair_index};
 use mshc_taskgraph::{DataId, TaskId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A heterogeneous suite of fully connected machines together with the
 /// paper's two cost matrices.
@@ -14,11 +14,23 @@ use serde::{Deserialize, Serialize};
 /// * at least one machine;
 /// * `E` is `l × k` with strictly positive finite entries;
 /// * `Tr` is `l(l-1)/2 × p` with finite non-negative entries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization goes through [`HcSystem::new`], so a loaded system
+/// holds the same invariants.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HcSystem {
     machines: Vec<Machine>,
     exec: Matrix,
     transfer: Matrix,
+}
+
+impl Deserialize for HcSystem {
+    fn deserialize(v: &Value) -> Result<HcSystem, serde::Error> {
+        let machines = de_field(v, "HcSystem", "machines")?;
+        let exec = de_field(v, "HcSystem", "exec")?;
+        let transfer = de_field(v, "HcSystem", "transfer")?;
+        HcSystem::new(machines, exec, transfer).map_err(|e| in_field(e.field(), e))
+    }
 }
 
 impl HcSystem {
@@ -288,5 +300,33 @@ mod tests {
         let tr = Matrix::from_rows(&[vec![-1.0]]);
         let r = HcSystem::with_anonymous_machines(2, exec, tr);
         assert!(matches!(r.unwrap_err(), PlatformError::InvalidCost { matrix: "Tr", .. }));
+    }
+
+    #[test]
+    fn deserialization_validates_and_names_the_field() {
+        use serde::Serialize;
+        let sys = two_machine_system();
+        let v = sys.serialize();
+        assert_eq!(HcSystem::deserialize(&v).unwrap(), sys);
+        let with_exec = |data: Vec<f64>, rows: u64| {
+            let mut v = v.clone();
+            let Value::Map(fields) = &mut v else { unreachable!() };
+            let exec = &mut fields.iter_mut().find(|(k, _)| k == "exec").unwrap().1;
+            let Value::Map(exec) = exec else { unreachable!() };
+            for (k, val) in exec.iter_mut() {
+                match k.as_str() {
+                    "rows" => *val = Value::U64(rows),
+                    "data" => *val = data.serialize(),
+                    _ => {}
+                }
+            }
+            HcSystem::deserialize(&v).unwrap_err().to_string()
+        };
+        let good = sys.exec_matrix().as_slice().to_vec();
+        assert_eq!(with_exec(good[..5].to_vec(), 2), "exec.data: 5 entries for a 2 x 3 matrix");
+        assert_eq!(with_exec(good.clone(), 3), "exec.data: 6 entries for a 3 x 3 matrix");
+        let mut negative = good;
+        negative[4] = -8.0;
+        assert_eq!(with_exec(negative, 2), "exec: E[1][1] = -8; execution times must be > 0");
     }
 }

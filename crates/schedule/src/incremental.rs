@@ -265,6 +265,10 @@ pub struct IncrementalEvaluator<'a> {
     /// `-inf` (no cutoff); a pure cost knob with the same ties-lose
     /// safety argument as every other bound cut here.
     scan_floor: f64,
+    /// Relocation floor ([`Self::prime_relocation_floor`]): the task it
+    /// was primed for and the makespan of the base with that task left
+    /// out. Cleared by every [`Self::prime`].
+    relocation: Option<(TaskId, f64)>,
     /// Lower bound (raw, undeflated — see `deflate`) on the remaining
     /// critical path below each task: once `u` finishes at `f`, no
     /// schedule — the base or any single-move mutation of it — can
@@ -374,6 +378,7 @@ impl<'a> IncrementalEvaluator<'a> {
             min_exec,
             deflate: 1.0 - (2 * k + 16) as f64 * f64::EPSILON,
             scan_floor: f64::NEG_INFINITY,
+            relocation: None,
             tail: vec![0.0; k],
             ckpt_pending: Vec::new(),
             in_cone: vec![false; k],
@@ -486,6 +491,7 @@ impl<'a> IncrementalEvaluator<'a> {
         debug_assert_eq!(base.len(), k, "solution/instance mismatch");
         debug_assert_eq!(base.machine_count(), l, "solution/instance machine mismatch");
         self.stride = self.stride_override.unwrap_or_else(|| auto_stride(k)).max(1);
+        self.relocation = None;
         match &mut self.base {
             Some(b) => b.clone_from(base),
             none => *none = Some(base.clone()),
@@ -658,6 +664,63 @@ impl<'a> IncrementalEvaluator<'a> {
         }
     }
 
+    /// Primes the relocation floor of `t` and returns it: the makespan of
+    /// the primed base with `t` and its edges left out. Makespan
+    /// objective only, like [`set_scan_floor`](Self::set_scan_floor).
+    ///
+    /// Every move of `t` inserts it into that same `t`-removed string,
+    /// and an insertion can only delay the other tasks: each finish is a
+    /// `max` of sums, IEEE-754 `+` and `max` round monotonically, and
+    /// execution times are non-negative. So the floor is at most the
+    /// computed makespan of every move of `t`, bit for bit, and bounded
+    /// scorings of `t` prune without replaying once the caller's bound
+    /// reaches it. Scorings of any other task ignore it; the next
+    /// [`prime`](Self::prime) clears it.
+    ///
+    /// Uncounted, like `prime`: one replay from the checkpoint before
+    /// `t` through the shared scheduling kernel, with `t`'s finish held
+    /// at `-inf` so its out-edges drop out of every `max` exactly.
+    /// Returns `None`, priming nothing, while pruning is off.
+    ///
+    /// # Panics
+    /// If the evaluator was never primed.
+    pub fn prime_relocation_floor(&mut self, t: TaskId) -> Option<f64> {
+        self.relocation = None;
+        if !(self.pruning && self.prune_ready) {
+            return None;
+        }
+        let snap = self.snap.as_ref();
+        let base = self.base.as_ref().expect("prime() the evaluator first");
+        let l = snap.machine_count();
+        let pos = base.position_of(t);
+        let ci = pos / self.stride;
+        self.machine_avail.copy_from_slice(&self.ckpt_avail[ci * l..(ci + 1) * l]);
+        let mut makespan = self.ckpt_max[ci];
+        for seg in &base.segments()[ci * self.stride..pos] {
+            let f = self.base_finish[seg.task.index()];
+            self.machine_avail[seg.machine.index()] = f;
+            makespan = makespan.max(f);
+        }
+        self.finish[t.index()] = f64::NEG_INFINITY;
+        for seg in &base.segments()[pos + 1..] {
+            let (u, m) = (seg.task, seg.machine);
+            let (_, f) = snap.schedule_step(
+                u,
+                m,
+                snap.exec_time(m, u),
+                |src| base.machine_of(src),
+                &self.finish,
+                &self.machine_avail,
+            );
+            self.finish[u.index()] = f;
+            self.machine_avail[m.index()] = f;
+            makespan = makespan.max(f);
+        }
+        self.finish.copy_from_slice(&self.base_finish);
+        self.relocation = Some((t, makespan));
+        Some(makespan)
+    }
+
     /// The primed base's own score under `obj` — a free accumulator read,
     /// not a pass.
     ///
@@ -754,6 +817,7 @@ impl<'a> IncrementalEvaluator<'a> {
             base_total_busy,
             deflate,
             scan_floor,
+            relocation,
             tail,
             ckpt_pending,
             in_cone,
@@ -794,11 +858,16 @@ impl<'a> IncrementalEvaluator<'a> {
         // (never subtracting the old placement) and inflate past the
         // worst-case accumulation drift of O(k + l) roundings.
         let do_prune = *pruning && *prune_ready && bound < f64::INFINITY;
-        // Scan-global cutoff: the certified instance floor lower-bounds
-        // every candidate's exact score, so once the caller's running
-        // best has reached the floor nothing can strictly improve —
+        // Scan-global cutoff: the certified instance floor (and, for
+        // moves of the task it was primed for, the relocation floor)
+        // lower-bounds the candidate's exact score, so once the caller's
+        // running best has reached it nothing can strictly improve —
         // instant prune, zero replay (ties lose, as everywhere).
-        if do_prune && *scan_floor >= bound {
+        let floor = match *relocation {
+            Some((task, f)) if task == t => scan_floor.max(f),
+            _ => *scan_floor,
+        };
+        if do_prune && floor >= bound {
             *pruned += 1;
             obs::add(obs::Counter::ScanPruned, 1);
             return MoveScore::Pruned;
@@ -1276,6 +1345,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn relocation_floor_never_prunes_another_tasks_move() {
+        // Bound every move of every other task `u` at `t`'s floor: a
+        // move of `u` that beats the floor must come back exact, and
+        // the sweep must hit such moves or it shows nothing.
+        let inst = random_instance(20, 4, 37);
+        let g = inst.graph();
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let base = random_solution(&inst, &mut rng);
+        let mut inc = IncrementalEvaluator::new(&inst);
+        let mut below_floor = 0;
+        for t in g.tasks() {
+            inc.prime(&base);
+            let floor = inc.prime_relocation_floor(t).unwrap();
+            for u in g.tasks().filter(|&u| u != t) {
+                let (lo, hi) = base.valid_range(g, u);
+                for pos in lo..=hi {
+                    for m in inst.system().machine_ids() {
+                        let exact = inc.score_move(u, pos, m, &ObjectiveKind::Makespan);
+                        let bounded =
+                            inc.score_move_bounded(u, pos, m, floor, &ObjectiveKind::Makespan);
+                        if exact < floor {
+                            below_floor += 1;
+                            assert_eq!(bounded, MoveScore::Exact(exact), "{t} floor, {u} moved");
+                        }
+                    }
+                }
+            }
+            // The floor still prunes `t`'s own moves.
+            let (pos, m) = (base.position_of(t), base.machine_of(t));
+            assert!(inc.score_move_bounded(t, pos, m, floor, &ObjectiveKind::Makespan).is_pruned());
+        }
+        assert!(below_floor > 0, "no move of another task beat a floor");
+        // With pruning off nothing is primed.
+        inc.set_pruning(false);
+        inc.prime(&base);
+        assert_eq!(inc.prime_relocation_floor(TaskId::new(0)), None);
     }
 
     #[test]

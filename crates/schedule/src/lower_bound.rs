@@ -49,16 +49,10 @@
 //!
 //! The same cheapest-machine/zero-transfer relaxation yields per-task
 //! earliest/latest start times ([`mshc_taskgraph::SlackAnalysis`]),
-//! exposed here both directly and as [`placement_floor`] — a certified
-//! floor on any schedule that places task `t` on a machine with a given
-//! execution time. The SE allocator sorts candidate machines by this
-//! floor so bounded scans meet their best candidates first and prune
-//! the rest.
-//!
-//! [`placement_floor`]: InstanceBound::placement_floor
+//! exposed through [`InstanceBound::slack`].
 
 use mshc_platform::HcInstance;
-use mshc_taskgraph::{SlackAnalysis, TaskId};
+use mshc_taskgraph::SlackAnalysis;
 
 /// Every computed schedule intermediate is bounded by the sum of all
 /// matrix entries; below this cap, integer instances stay exact in `f64`
@@ -86,9 +80,6 @@ pub struct InstanceBound {
     exact: bool,
     /// Machine count the work term was spread over.
     machines: usize,
-    /// Cheapest execution time per task (clamped to finite `>= 0`,
-    /// matching the incremental evaluator's pruning floors).
-    min_exec: Vec<f64>,
     /// Earliest/latest start times under the relaxation.
     slack: SlackAnalysis,
 }
@@ -143,7 +134,7 @@ impl InstanceBound {
         } else {
             (raw * deflate(k)).max(0.0)
         };
-        InstanceBound { critical_path, total_work, floor, exact, machines: l, min_exec, slack }
+        InstanceBound { critical_path, total_work, floor, exact, machines: l, slack }
     }
 
     /// The certified floor: no feasible schedule of this instance can
@@ -194,31 +185,6 @@ impl InstanceBound {
         incumbent.is_finite() && incumbent <= self.floor
     }
 
-    /// Certified floor on any schedule that places task `t` on a machine
-    /// whose execution time for `t` is `exec`: the task cannot start
-    /// before its relaxed earliest start, and its longest descendant
-    /// chain (cheapest machines, free transfers) still runs after it.
-    /// Never below [`floor`](Self::floor).
-    ///
-    /// This is the key the SE allocator orders candidate machines by —
-    /// ascending `placement_floor` visits the most promising placements
-    /// first, so the bounded scan's running best drops fast and later
-    /// candidates prune early.
-    pub fn placement_floor(&self, t: TaskId, exec: f64) -> f64 {
-        let i = t.index();
-        let tail = self.slack.length - self.slack.latest[i] - self.min_exec[i];
-        let raw = self.slack.earliest[i] + exec.max(0.0) + tail.max(0.0);
-        let certified = if self.exact { raw } else { raw * deflate(self.min_exec.len()) };
-        certified.max(self.floor)
-    }
-
-    /// Cheapest execution time of `t` over all machines (clamped to
-    /// finite `>= 0`).
-    #[inline]
-    pub fn min_exec(&self, t: TaskId) -> f64 {
-        self.min_exec[t.index()]
-    }
-
     /// The relaxation's earliest/latest start-time analysis.
     #[inline]
     pub fn slack(&self) -> &SlackAnalysis {
@@ -243,10 +209,8 @@ fn deflate(k: usize) -> f64 {
 }
 
 /// The next `f64` strictly above `x` (one ulp up) for positive finite
-/// `x`; returns `x` unchanged otherwise. Used by bound-aware scan
-/// ordering to pass a tie-*inclusive* pruning bound when the candidate
-/// being scored sits earlier in committed grid order than the running
-/// best (an equal score must then *win*, so it may not be pruned).
+/// `x`; returns `x` unchanged otherwise. Disturbance traces use it to
+/// keep event times strictly increasing.
 #[inline]
 pub fn next_up(x: f64) -> f64 {
     if x.is_finite() && x > 0.0 {
@@ -371,43 +335,6 @@ mod tests {
         let b = InstanceBound::compute(&inst);
         assert!(!b.is_exact());
         assert!(b.floor() < big && b.floor() > big * 0.999999);
-    }
-
-    #[test]
-    fn placement_floor_never_undercuts_instance_floor() {
-        let inst = figure1_instance();
-        let b = InstanceBound::compute(&inst);
-        let sys = inst.system();
-        for t in inst.graph().tasks() {
-            for m in sys.machine_ids() {
-                let pf = b.placement_floor(t, sys.exec_time(m, t));
-                assert!(pf >= b.floor(), "{t} on {m}");
-            }
-        }
-        // Sink task t6: est 935 (0→1's chain 500+435), so an expensive
-        // placement lifts the floor above the instance-wide one.
-        assert_eq!(b.placement_floor(TaskId::new(6), 10_000.0), 10_935.0);
-        // A cheap placement clamps back to the instance floor.
-        assert_eq!(b.placement_floor(TaskId::new(6), 350.0), 1343.0);
-    }
-
-    #[test]
-    fn placement_floor_certifies_forced_placements() {
-        // Every feasible schedule placing t on m has makespan >=
-        // placement_floor(t, E[m][t]) — check against random solutions.
-        let inst = figure1_instance();
-        let b = InstanceBound::compute(&inst);
-        let mut eval = Evaluator::new(&inst);
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        for _ in 0..200 {
-            let s = crate::init::random_solution(&inst, &mut rng);
-            let mk = eval.makespan(&s);
-            for t in inst.graph().tasks() {
-                let m = s.machine_of(t);
-                let pf = b.placement_floor(t, inst.system().exec_time(m, t));
-                assert!(mk >= pf, "makespan {mk} under placement floor {pf} for {t}");
-            }
-        }
     }
 
     #[test]

@@ -471,3 +471,95 @@ proptest! {
         prop_assert!(with_junk.parse::<ObjectiveKind>().is_err());
     }
 }
+
+/// Random layered instances for the relocation-floor property, with
+/// zero-transfer and tied-execution-time variants: ties make many
+/// relocations land exactly on the floor, the case where a rounding
+/// slip would show.
+fn floor_instance_strategy() -> impl Strategy<Value = HcInstance> {
+    (1usize..25, 1usize..6, 0.0f64..0.9, any::<u64>(), prop::bool::ANY, prop::bool::ANY).prop_map(
+        |(k, l, p, seed, zero_transfers, tied_execs)| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let cfg = LayeredConfig {
+                tasks: k,
+                mean_width: (k / 3).max(1),
+                edge_prob: p,
+                skip_prob: 0.1,
+            };
+            let graph = layered(&cfg, &mut rng).unwrap();
+            let exec = Matrix::from_fn(l, k, |_, _| {
+                if tied_execs {
+                    rng.gen_range(1u32..4) as f64
+                } else {
+                    rng.gen_range(1.0..50.0)
+                }
+            });
+            let pairs = l * (l - 1) / 2;
+            let transfer = Matrix::from_fn(pairs, graph.data_count(), |_, _| {
+                if zero_transfers {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..20.0)
+                }
+            });
+            let sys = HcSystem::with_anonymous_machines(l, exec, transfer).unwrap();
+            HcInstance::new(graph, sys).unwrap()
+        },
+    )
+}
+
+/// Makespan of `sol` with task `t` and its edges left out, by a plain
+/// loop over the instance's own accessors.
+fn makespan_without(inst: &HcInstance, sol: &Solution, t: TaskId) -> f64 {
+    let (g, sys) = (inst.graph(), inst.system());
+    let mut finish = vec![0.0f64; inst.task_count()];
+    let mut avail = vec![0.0f64; inst.machine_count()];
+    let mut makespan = 0.0f64;
+    for seg in sol.segments().iter().filter(|seg| seg.task != t) {
+        let (u, m) = (seg.task, seg.machine);
+        let mut ready = 0.0f64;
+        for e in g.in_edges(u).filter(|e| e.src != t) {
+            ready = ready
+                .max(finish[e.src.index()] + sys.transfer_time(e.id, sol.machine_of(e.src), m));
+        }
+        let f = ready.max(avail[m.index()]) + sys.exec_time(m, u);
+        finish[u.index()] = f;
+        avail[m.index()] = f;
+        makespan = makespan.max(f);
+    }
+    makespan
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The relocation floor of every task equals the makespan of the
+    /// solution without it, bit for bit, and is at most the exact
+    /// makespan of every relocation of that task over its valid range
+    /// and every machine — compared with no tolerance, because the
+    /// floor prunes on `>=`.
+    #[test]
+    fn relocation_floor_is_exact_and_sound(
+        inst in floor_instance_strategy(),
+        seed in any::<u64>(),
+        stride in 1usize..8,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let g = inst.graph();
+        let sol = random_solution(&inst, &mut rng);
+        let mut inc = IncrementalEvaluator::new(&inst);
+        inc.set_stride(Some(stride));
+        for t in g.tasks() {
+            inc.prime(&sol);
+            let floor = inc.prime_relocation_floor(t).expect("pruning is on by default");
+            prop_assert_eq!(floor.to_bits(), makespan_without(&inst, &sol, t).to_bits(), "{}", t);
+            let (lo, hi) = sol.valid_range(g, t);
+            for pos in lo..=hi {
+                for m in inst.system().machine_ids() {
+                    let exact = inc.score_move(t, pos, m, &ObjectiveKind::Makespan);
+                    prop_assert!(floor <= exact, "{} -> ({}, {}): floor {} > {}", t, pos, m, floor, exact);
+                }
+            }
+        }
+    }
+}
